@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench chaos-smoke determinism-smoke prov-smoke verify-smoke serve-smoke scale-smoke fmt-check experiments
+.PHONY: all build vet test race bench chaos-smoke determinism-smoke prov-smoke verify-smoke serve-smoke scale-smoke bench-harness fmt-check experiments
 
 all: vet build test
 
@@ -38,6 +38,11 @@ serve-smoke:
 
 scale-smoke:
 	$(GO) test -count=1 -run 'TestScaleISP10k|TestFatTreeConverges' -v -timeout 10m ./internal/dist/
+
+# The benchmark harness is its own module (fvnbench/go.mod): its tests
+# (negative controls, metric-name pins) do not run under go test ./...
+bench-harness:
+	cd fvnbench && $(GO) test ./...
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

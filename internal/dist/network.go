@@ -197,9 +197,9 @@ type Network struct {
 	outbox      map[string][]msgEntry
 	outboxOrder []string
 
-	// tidx caches per-link and per-node topology lookups (lazily rebuilt
-	// when topoVer moves); gt memoizes the all-pairs Dijkstra ground truth
-	// at gtVer for the invariant checkers.
+	// tidx indexes the live topology (links, out-links, neighbors,
+	// components; see topoIdx); gt memoizes the all-pairs Dijkstra ground
+	// truth at gtVer for the invariant checkers.
 	tidx  *topoIndex
 	gt    map[string]map[string]int64
 	gtVer int
@@ -265,14 +265,9 @@ type Network struct {
 	partCuts map[int][]netgraph.Link
 	nextPart int
 
-	// topoVer counts topology mutations (link up/down); comp caches the
-	// connected-component labels computed at compVer. Message delivery
-	// requires the endpoints to be in the same component at arrival time —
-	// the underlay can reroute around dead links, but it cannot cross a
-	// partition.
+	// topoVer counts topology mutations (link up/down), the memo key of
+	// GroundTruth.
 	topoVer int
-	compVer int
-	comp    map[string]int
 
 	// Soft-state refresh driver (InjectRefresh): while refreshing, a
 	// no-op re-insert into a soft-state table re-fires the rules it
@@ -352,7 +347,6 @@ func NewNetwork(prog *ndlog.Program, topo *netgraph.Topology, opts Options) (*Ne
 		linkEpoch:     map[string]int{},
 		partCuts:      map[int][]netgraph.Link{},
 		waveSeen:      map[string]bool{},
-		compVer:       -1, // force the first reachability query to compute
 	}
 	n.hasChans = !n.defaultChan.Zero()
 	for _, r := range localized.Rules {
@@ -793,45 +787,14 @@ func (n *Network) rand01() float64 {
 	return float64(n.rngState>>11) / float64(1<<53)
 }
 
-// topoIndex caches per-link and per-node lookups over the live topology.
-// It is rebuilt lazily whenever topoVer moves: at 10^5 nodes and 10^6
-// links the linear scans it replaces (the per-transmit latency lookup,
-// the per-wave out-link enumeration) dominate the whole run.
-type topoIndex struct {
-	ver  int
-	link map[string]netgraph.Link   // "src|dst" -> live directed link
-	out  map[string][]netgraph.Link // node -> out-links
-	nbrs map[string][]string        // node -> sorted, deduplicated neighbors
-}
-
-// tIdx returns the topology index, rebuilding it if stale.
-func (n *Network) tIdx() *topoIndex {
-	if n.tidx != nil && n.tidx.ver == n.topoVer {
-		return n.tidx
+// topoIdx returns the topology index. It is built on first use, inside
+// Run, so NewNetwork does not pay for it; from then on linkDown and
+// linkUp keep it current.
+func (n *Network) topoIdx() *topoIndex {
+	if n.tidx == nil {
+		n.tidx = newTopoIndex(n.topo)
 	}
-	ti := &topoIndex{
-		ver:  n.topoVer,
-		link: make(map[string]netgraph.Link, len(n.topo.Links)),
-		out:  make(map[string][]netgraph.Link, len(n.topo.Nodes)),
-		nbrs: make(map[string][]string, len(n.topo.Nodes)),
-	}
-	nbrSeen := map[string]bool{}
-	for _, l := range n.topo.Links {
-		ti.link[l.Src+"|"+l.Dst] = l
-		ti.out[l.Src] = append(ti.out[l.Src], l)
-		for _, pair := range [2][2]string{{l.Src, l.Dst}, {l.Dst, l.Src}} {
-			k := pair[0] + "\x00" + pair[1]
-			if !nbrSeen[k] {
-				nbrSeen[k] = true
-				ti.nbrs[pair[0]] = append(ti.nbrs[pair[0]], pair[1])
-			}
-		}
-	}
-	for _, v := range ti.nbrs {
-		sort.Strings(v)
-	}
-	n.tidx = ti
-	return ti
+	return n.tidx
 }
 
 // GroundTruth returns the all-pairs shortest-path costs of the live
@@ -850,7 +813,7 @@ func (n *Network) GroundTruth() map[string]map[string]int64 {
 // latency returns the message latency from src to dst and whether a
 // direct topology link carries it.
 func (n *Network) latency(src, dst string) (float64, bool) {
-	if l, ok := n.tIdx().link[src+"|"+dst]; ok {
+	if l, ok := n.topoIdx().link[linkKey{src, dst}]; ok {
 		if l.Latency > 0 {
 			return l.Latency, true
 		}
@@ -921,12 +884,10 @@ func (n *Network) sendMessageOpts(src, dst, pred string, tup value.Tuple, cause 
 // paper's soft-state stance that retractions cannot cross failed links
 // (refresh and expiry are the backstop for the stale remote state).
 func (n *Network) queueRemote(src, dst string, en msgEntry) {
-	k := src + "|" + dst
-	if en.del {
-		if _, alive := n.tIdx().link[k]; !alive {
-			return
-		}
+	if en.del && !n.topoIdx().hasLink(src, dst) {
+		return
 	}
+	k := src + "|" + dst
 	box := n.outbox[k]
 	for _, have := range box {
 		if have.del == en.del && have.pred == en.pred && have.tup.Equal(en.tup) {
@@ -1073,49 +1034,14 @@ func (n *Network) arrivalDropped(e *event) bool {
 }
 
 // reachable reports whether a and b are in the same connected component
-// of the current topology. Components are recomputed lazily after each
-// link up/down.
+// of the current topology. Message delivery requires it at arrival time:
+// the underlay can reroute around dead links, but it cannot cross a
+// partition.
 func (n *Network) reachable(a, b string) bool {
 	if a == b || a == "" {
 		return true
 	}
-	if n.compVer != n.topoVer {
-		n.recomputeComps()
-	}
-	ca, ok1 := n.comp[a]
-	cb, ok2 := n.comp[b]
-	return ok1 && ok2 && ca == cb
-}
-
-// recomputeComps labels the connected components of the (undirected)
-// surviving topology.
-func (n *Network) recomputeComps() {
-	adj := map[string][]string{}
-	for _, l := range n.topo.Links {
-		adj[l.Src] = append(adj[l.Src], l.Dst)
-		adj[l.Dst] = append(adj[l.Dst], l.Src)
-	}
-	n.comp = make(map[string]int, len(n.topo.Nodes))
-	label := 0
-	for _, start := range n.topo.Nodes {
-		if _, seen := n.comp[start]; seen {
-			continue
-		}
-		frontier := []string{start}
-		n.comp[start] = label
-		for len(frontier) > 0 {
-			cur := frontier[len(frontier)-1]
-			frontier = frontier[:len(frontier)-1]
-			for _, next := range adj[cur] {
-				if _, seen := n.comp[next]; !seen {
-					n.comp[next] = label
-					frontier = append(frontier, next)
-				}
-			}
-		}
-		label++
-	}
-	n.compVer = n.topoVer
+	return n.topoIdx().connected(a, b)
 }
 
 // refreshFire reports whether a no-op re-insert of tup into node's pred
@@ -1150,7 +1076,9 @@ func (n *Network) linkDown(a, b string) error {
 	fid := n.prov.Fault(n.now, "link_down", a, b, 0)
 	n.linkEpoch[a+"|"+b]++
 	n.linkEpoch[b+"|"+a]++
-	n.topo.RemoveLink(a, b)
+	if n.topo.RemoveLink(a, b) > 0 {
+		n.topoIdx().removeLink(a, b)
+	}
 	n.topoVer++
 	for _, pair := range [][2]string{{a, b}, {b, a}} {
 		node := n.nodes[pair[0]]
@@ -1191,11 +1119,16 @@ func (n *Network) linkUp(a, b string, cost int64, lat float64) error {
 		lat = 1
 	}
 	fid := n.prov.Fault(n.now, "link_up", a, b, cost)
+	// Both directions go live before either insert cascade runs, so the
+	// cascade already sees (and can retract over) the whole link.
+	for _, pair := range [][2]string{{a, b}, {b, a}} {
+		l := netgraph.Link{Src: pair[0], Dst: pair[1], Cost: cost, Latency: lat}
+		if n.topoIdx().addLink(l) {
+			n.topo.Links = append(n.topo.Links, l)
+		}
+	}
 	n.topoVer++
 	for _, pair := range [][2]string{{a, b}, {b, a}} {
-		if !n.topo.HasLink(pair[0], pair[1]) {
-			n.topo.Links = append(n.topo.Links, netgraph.Link{Src: pair[0], Dst: pair[1], Cost: cost, Latency: lat})
-		}
 		node := n.nodes[pair[0]]
 		if node == nil || node.down {
 			continue
@@ -1596,7 +1529,7 @@ func (n *Network) RunCtx(ctx context.Context) (Result, error) {
 				if node == nil || node.down {
 					continue
 				}
-				for _, l := range n.tIdx().out[id] {
+				for _, l := range n.topoIdx().outLinks(id) {
 					ds, err := node.insert("link", value.Tuple{value.Addr(l.Src), value.Addr(l.Dst), value.Int(l.Cost)}, n.now, 0)
 					if err != nil {
 						return Result{}, err

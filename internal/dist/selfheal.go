@@ -322,7 +322,7 @@ func (n *Network) restoreCheckpoint(node *Node, cause prov.ID) {
 			// was down are dropped here instead of deriving stale routes
 			// for a Lifetime.
 			if ct.pred == "link" && n.opts.LoadTopologyLinks && len(tup) == 3 &&
-				!n.topo.HasLink(tup[0].S, tup[1].S) {
+				!n.topoIdx().hasLink(tup[0].S, tup[1].S) {
 				continue
 			}
 			n.schedule(&event{at: n.now, kind: evInject, node: node.ID, pred: ct.pred, tup: tup, cause: cause})
@@ -339,6 +339,11 @@ func (n *Network) restoreCheckpoint(node *Node, cause prov.ID) {
 // checkpoint (0 when no live node has one) — the bound on how much base
 // state a crash right now could lose.
 func (n *Network) CheckpointAge() float64 {
+	// Checkpoints are only ever taken by the periodic tick, so without
+	// one no node can hold a checkpoint: skip the per-node scan.
+	if n.opts.CheckpointEvery <= 0 {
+		return 0
+	}
 	age := 0.0
 	for _, id := range n.topo.Nodes {
 		node := n.nodes[id]
@@ -460,10 +465,9 @@ func (n *Network) antiEntropyNode(x *Node) error {
 }
 
 // neighborsOf returns the nodes adjacent to id in the current topology,
-// sorted and deduplicated (served from the lazily-rebuilt topology
-// index).
+// sorted and deduplicated (served from the maintained topology index).
 func (n *Network) neighborsOf(id string) []string {
-	return n.tIdx().nbrs[id]
+	return n.topoIdx().neighbors(id)
 }
 
 // healEndpoints collects the live endpoints of the restored links, sorted
