@@ -870,37 +870,29 @@ func BenchmarkJoinPlan(b *testing.B) {
 			}
 		})
 		plan := an.Plans[r2].Full
-		for _, ex := range []struct {
-			name string
-			mk   func(*ndlog.Plan) store.Runner
-		}{
-			{"planned", func(p *ndlog.Plan) store.Runner { return store.NewExec(p) }},
-			{"batched", func(p *ndlog.Plan) store.Runner { return store.NewBatchExec(p) }},
-		} {
-			b.Run(ex.name+"/"+tc.name, func(b *testing.B) {
-				b.ReportAllocs()
-				x := ex.mk(plan)
-				head := make(value.Tuple, len(plan.HeadExprs))
-				n := 0
-				emit := func([]value.V) error {
-					if err := plan.BuildHead(x.Env(), head); err != nil {
-						return err
-					}
-					n++
-					return nil
+		b.Run("planned/"+tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			x := store.NewExec(plan)
+			head := make(value.Tuple, len(plan.HeadExprs))
+			n := 0
+			emit := func([]value.V) error {
+				if err := plan.BuildHead(x.Env(), head); err != nil {
+					return err
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					n = 0
-					if _, err := x.Run(eng, nil, nil, emit); err != nil {
-						b.Fatal(err)
-					}
-					if n == 0 {
-						b.Fatal("planned joiner emitted nothing")
-					}
+				n++
+				return nil
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n = 0
+				if _, err := x.Run(eng, nil, nil, emit); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if n == 0 {
+					b.Fatal("planned joiner emitted nothing")
+				}
+			}
+		})
 	}
 
 	eng, _, _ := benchJoinSetup(b, netgraph.Ring(8))
@@ -914,35 +906,27 @@ t1 twoHop(@S,D) :- link(@S,Z,C1), link(@Z,D,C2).
 		b.Fatal(err)
 	}
 	pplan := pan.Plans[probe.Rules[0]].Full
-	for _, ex := range []struct {
-		name string
-		mk   func(*ndlog.Plan) store.Runner
-	}{
-		{"probe", func(p *ndlog.Plan) store.Runner { return store.NewExec(p) }},
-		{"probe-batched", func(p *ndlog.Plan) store.Runner { return store.NewBatchExec(p) }},
-	} {
-		b.Run(ex.name+"/ring:8", func(b *testing.B) {
-			b.ReportAllocs()
-			x := ex.mk(pplan)
-			n := 0
-			emit := func([]value.V) error { n++; return nil }
-			// One warm-up run builds the lazy hash index and sizes the
-			// executor's buffers; the measured loop must not allocate.
+	b.Run("probe/ring:8", func(b *testing.B) {
+		b.ReportAllocs()
+		x := store.NewExec(pplan)
+		n := 0
+		emit := func([]value.V) error { n++; return nil }
+		// One warm-up run builds the lazy hash index and sizes the
+		// executor's buffers; the measured loop must not allocate.
+		if _, err := x.Run(eng, nil, nil, emit); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n = 0
 			if _, err := x.Run(eng, nil, nil, emit); err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n = 0
-				if _, err := x.Run(eng, nil, nil, emit); err != nil {
-					b.Fatal(err)
-				}
-				if n == 0 {
-					b.Fatal("probe join emitted nothing")
-				}
+			if n == 0 {
+				b.Fatal("probe join emitted nothing")
 			}
-		})
-	}
+		}
+	})
 }
 
 // --- PR5: interned kernel and the proof-obligation pipeline --------------------

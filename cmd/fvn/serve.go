@@ -23,7 +23,7 @@ import (
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8137", "listen address")
-	cacheFile := fs.String("cache-file", "fvn-cache.jsonl", "persistent verify-result cache (empty: in-memory only)")
+	cacheFile := fs.String("cache-file", "fvn-cache.jsonl", "persistent verify-result cache (empty: no cache across requests; each verify caches only within itself)")
 	maxConc := fs.Int("max-concurrent", 8, "jobs executing at once")
 	queueDepth := fs.Int("queue-depth", 0, "admitted jobs waiting for a slot (0: 2x max-concurrent); beyond it requests get 429")
 	defTimeout := fs.Duration("default-timeout", 60*time.Second, "per-job deadline when the request names none")

@@ -52,7 +52,7 @@ r2 pair(@A,C) :- route(@A,B), route(@B,C).
 	}},
 }
 
-func buildDiffEngine(t *testing.T, src string, facts []string, scalar, parallel bool) *Engine {
+func buildDiffEngine(t *testing.T, src string, facts []string, parallel bool) *Engine {
 	t.Helper()
 	full := src + "\n"
 	for _, f := range facts {
@@ -66,7 +66,7 @@ func buildDiffEngine(t *testing.T, src string, facts []string, scalar, parallel 
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Scalar, e.Parallel = scalar, parallel
+	e.Parallel = parallel
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,32 +85,6 @@ func snapshot(e *Engine) map[string]string {
 	return out
 }
 
-// TestScalarBatchedDifferential runs each program through the scalar
-// oracle and the batched executor (both sequential) and requires
-// identical derived relations AND identical Stats — the batched path
-// must probe the same candidates in the same rounds, not merely reach
-// the same fixpoint.
-func TestScalarBatchedDifferential(t *testing.T) {
-	for _, p := range diffPrograms {
-		t.Run(p.name, func(t *testing.T) {
-			se := buildDiffEngine(t, p.src, p.facts, true, false)
-			be := buildDiffEngine(t, p.src, p.facts, false, false)
-			sSnap, bSnap := snapshot(se), snapshot(be)
-			for pred, want := range sSnap {
-				if bSnap[pred] != want {
-					t.Errorf("%s: scalar %q, batched %q", pred, want, bSnap[pred])
-				}
-			}
-			if se.Stats != be.Stats {
-				t.Errorf("stats differ: scalar %+v, batched %+v", se.Stats, be.Stats)
-			}
-			if se.Stats.NewTuples == 0 {
-				t.Error("degenerate test vector: no tuples derived")
-			}
-		})
-	}
-}
-
 // TestParallelMatchesSequential: parallel evaluation of independent
 // rule components must reach the same relations and do the same work
 // (Derivations, NewTuples, JoinProbes). Iterations is excluded — each
@@ -119,8 +93,8 @@ func TestScalarBatchedDifferential(t *testing.T) {
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, p := range diffPrograms {
 		t.Run(p.name, func(t *testing.T) {
-			seq := buildDiffEngine(t, p.src, p.facts, false, false)
-			par := buildDiffEngine(t, p.src, p.facts, false, true)
+			seq := buildDiffEngine(t, p.src, p.facts, false)
+			par := buildDiffEngine(t, p.src, p.facts, true)
 			sSnap, pSnap := snapshot(seq), snapshot(par)
 			for pred, want := range sSnap {
 				if pSnap[pred] != want {
@@ -137,36 +111,74 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestDifferentialRandomTopologies stresses the path-vector program on
-// randomized graphs: the scalar oracle and the batched executor must
-// agree on every derived relation regardless of topology.
+// randomized directed graphs: every bestPathCost tuple must equal the
+// shortest-path cost over the same link facts, computed independently
+// here (Floyd-Warshall), and every reachable pair must have one.
 func TestDifferentialRandomTopologies(t *testing.T) {
+	nodes := []string{"a", "b", "c", "d", "e"}
+	const inf = int64(1) << 40
+	pairs := 0
 	for seed := uint64(1); seed <= 12; seed++ {
 		state := seed * 0x9e3779b97f4a7c15
 		next := func(n uint64) uint64 {
 			state = state*6364136223846793005 + 1442695040888963407
 			return (state >> 33) % n
 		}
-		nodes := []string{"a", "b", "c", "d", "e"}
+		// The engine's relations have set semantics, so parallel links
+		// with different costs coexist; the cheapest one counts.
+		dist := make([][]int64, len(nodes))
+		for i := range dist {
+			dist[i] = make([]int64, len(nodes))
+			for j := range dist[i] {
+				dist[i][j] = inf
+			}
+		}
 		var facts []string
 		for i := 0; i < 8; i++ {
-			s := nodes[next(uint64(len(nodes)))]
-			d := nodes[next(uint64(len(nodes)))]
+			s := next(uint64(len(nodes)))
+			d := next(uint64(len(nodes)))
 			if s == d {
 				continue
 			}
 			c := next(9) + 1
-			facts = append(facts, fmt.Sprintf("link(@%s,%s,%d)", s, d, c))
+			facts = append(facts, fmt.Sprintf("link(@%s,%s,%d)", nodes[s], nodes[d], c))
+			dist[s][d] = min(dist[s][d], int64(c))
 		}
-		se := buildDiffEngine(t, pathVectorSrc, facts, true, false)
-		be := buildDiffEngine(t, pathVectorSrc, facts, false, false)
-		sSnap, bSnap := snapshot(se), snapshot(be)
-		for pred, want := range sSnap {
-			if bSnap[pred] != want {
-				t.Fatalf("seed %d, %s:\n scalar  %q\n batched %q", seed, pred, want, bSnap[pred])
+		for k := range nodes {
+			for i := range nodes {
+				for j := range nodes {
+					if dist[i][k]+dist[k][j] < dist[i][j] {
+						dist[i][j] = dist[i][k] + dist[k][j]
+					}
+				}
 			}
 		}
-		if se.Stats != be.Stats {
-			t.Fatalf("seed %d: stats differ: scalar %+v, batched %+v", seed, se.Stats, be.Stats)
+		want := map[string]int64{}
+		for i, s := range nodes {
+			for j, d := range nodes {
+				if i != j && dist[i][j] < inf {
+					want[s+">"+d] = dist[i][j]
+				}
+			}
 		}
+
+		e := buildDiffEngine(t, pathVectorSrc, facts, true)
+		got := map[string]int64{}
+		for _, tp := range e.Query("bestPathCost") {
+			got[tp[0].S+">"+tp[1].S] = tp[2].I
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d bestPathCost tuples, shortest paths give %d\n links %v\n got %v\n want %v",
+				seed, len(got), len(want), facts, got, want)
+		}
+		for k, c := range want {
+			if got[k] != c {
+				t.Fatalf("seed %d: bestPathCost %s = %d, shortest path %d\n links %v", seed, k, got[k], c, facts)
+			}
+		}
+		pairs += len(want)
+	}
+	if pairs == 0 {
+		t.Fatal("degenerate test vector: no reachable pairs")
 	}
 }

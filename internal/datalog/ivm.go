@@ -18,8 +18,7 @@ import (
 // recursive strata by DRed (over-delete the transitive consequences, then
 // re-derive what alternative derivations still support). The full
 // recomputation path (apply changes + Run) is retained as the
-// differential oracle behind the ScalarDelete toggle, mirroring the
-// scalar/batched executor split.
+// differential oracle behind the ScalarDelete toggle.
 
 // Change is one base-table mutation handed to Update.
 type Change struct {
@@ -498,7 +497,7 @@ func (e *Engine) runReaders(c *evalCtx, rds []deltaReader, tup value.Tuple, loss
 			if rd.r.Body[i].Neg {
 				plan = rp.NegDelta[i]
 			}
-			x := e.execOne(c, plan)
+			x := e.exec(c, plan)
 			probes, err := x.Run(e, s.deltaBuf[:], nil, func(frame []value.V) error {
 				if len(rd.idxs) > 1 && s.frames.Seen(plan, frame) {
 					return nil
@@ -522,7 +521,7 @@ func (e *Engine) runReaders(c *evalCtx, rds []deltaReader, tup value.Tuple, loss
 
 // headEffect applies one gained or lost derivation of head to its
 // predicate's maintenance discipline.
-func (e *Engine) headEffect(c *evalCtx, r *ndlog.Rule, plan *ndlog.Plan, x store.Runner, head value.Tuple, loss bool) {
+func (e *Engine) headEffect(c *evalCtx, r *ndlog.Rule, plan *ndlog.Plan, x *store.Exec, head value.Tuple, loss bool) {
 	pred := r.Head.Pred
 	rel := e.rels[pred]
 	switch e.ivm.kind[pred] {
@@ -617,7 +616,7 @@ func (e *Engine) rederive(c *evalCtx, r *ndlog.Rule, head value.Tuple) (prov.ID,
 	for i, col := range rp.HeadSeedCols {
 		seed[i] = head[col]
 	}
-	x := e.execOne(c, plan)
+	x := e.exec(c, plan)
 	buf := make(value.Tuple, len(head))
 	var cause prov.ID
 	found := false

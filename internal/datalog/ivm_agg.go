@@ -98,7 +98,7 @@ func aggSeedIdx(r *ndlog.Rule, rp *ndlog.RulePlans) []int {
 
 // collectAggAnts appends the current antecedent tuple versions of the
 // running plan to g.ants, deduplicated and capped like evalAggregate.
-func (e *Engine) collectAggAnts(plan *ndlog.Plan, x store.Runner, g *aggFold) {
+func (e *Engine) collectAggAnts(plan *ndlog.Plan, x *store.Exec, g *aggFold) {
 	const maxAggAnts = 16
 	if !e.prov.Enabled() || len(g.ants) >= maxAggAnts {
 		return
@@ -196,7 +196,7 @@ func (e *Engine) computeAggGroups(c *evalCtx, r *ndlog.Rule) (map[string]aggOutV
 func (e *Engine) computeAggGroup(c *evalCtx, r *ndlog.Rule, key value.Tuple) (aggOutVal, bool, error) {
 	rp := e.An.Plans[r]
 	plan := rp.Seeded
-	x := e.execOne(c, plan)
+	x := e.exec(c, plan)
 	g := &aggFold{key: key}
 	seed := make([]value.V, len(key))
 	copy(seed, key)

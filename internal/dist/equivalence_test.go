@@ -240,29 +240,6 @@ func TestEngineDistAgreeOnRandomPrograms(t *testing.T) {
 			t.Fatalf("seed %d: engine run: %v\n%s", seed, err, src)
 		}
 
-		// The scalar oracle on the same program: the batched executor the
-		// engine runs by default must agree with it on every random program
-		// before either is compared against the distributed run.
-		oracle, err := datalog.New(ndlog.MustParse(prog, src))
-		if err != nil {
-			t.Fatalf("seed %d: oracle: %v\n%s", seed, err, src)
-		}
-		oracle.Scalar, oracle.Parallel = true, false
-		if err := oracle.Run(); err != nil {
-			t.Fatalf("seed %d: oracle run: %v\n%s", seed, err, src)
-		}
-		for _, pred := range preds {
-			want, got := oracle.Query(pred), eng.Query(pred)
-			if len(want) != len(got) {
-				t.Fatalf("seed %d: %s: scalar %d tuples, batched %d\n%s", seed, pred, len(want), len(got), src)
-			}
-			for i := range want {
-				if !want[i].Equal(got[i]) {
-					t.Fatalf("seed %d: %s[%d]: scalar %v, batched %v\n%s", seed, pred, i, want[i], got[i], src)
-				}
-			}
-		}
-
 		net, err := NewNetwork(ndlog.MustParse(prog, src), topo, Options{
 			MaxTime: 10_000, Seed: seed,
 		})

@@ -55,10 +55,6 @@ type Options struct {
 	// tuple (rule firings, message deliveries, fault events, and
 	// retractions); nil disables provenance at zero cost.
 	Prov *prov.Recorder
-	// ScalarExec forces the scalar (tuple-at-a-time) plan executor — the
-	// retained differential-testing oracle — instead of the default
-	// batched columnar one.
-	ScalarExec bool
 	// ScalarDelete disables the incremental deletion cascade (the DRed
 	// over-delete / re-derive path that is the default) and falls back to
 	// pre-cascade semantics: a deletion removes only the named tuple and
@@ -214,7 +210,7 @@ type Network struct {
 	// solutions. Because the stream is seeded, two runs with the same
 	// Options.Seed are bit-for-bit identical; the centralized engine
 	// (internal/datalog) is the fully deterministic counterpart.
-	execs    map[*ndlog.Plan]store.Runner
+	execs    map[*ndlog.Plan]*store.Exec
 	shuf     *store.Shuffler
 	deltaBuf [1]value.Tuple // reusable delta slice for pipelined evaluation
 
@@ -325,7 +321,7 @@ func NewNetwork(prog *ndlog.Program, topo *netgraph.Topology, opts Options) (*Ne
 		topo:     topo,
 		opts:     opts,
 		nodes:    map[string]*Node{},
-		execs:    map[*ndlog.Plan]store.Runner{},
+		execs:    map[*ndlog.Plan]*store.Exec{},
 		shuf:     store.NewShuffler(opts.Seed),
 		rngState: opts.Seed ^ 0xdeadbeefcafef00d,
 		history:  map[string][2]string{},
@@ -506,17 +502,12 @@ func (n *Network) Explain(w io.Writer, title string) {
 	obs.WriteExplain(w, title, "dist", rules, n.col)
 }
 
-// exec returns the cached executor for a plan (batched by default,
-// scalar under Options.ScalarExec), with the seeded scan shuffle
-// attached.
-func (n *Network) exec(p *ndlog.Plan) store.Runner {
+// exec returns the cached executor for a plan, with the seeded scan
+// shuffle attached.
+func (n *Network) exec(p *ndlog.Plan) *store.Exec {
 	x, ok := n.execs[p]
 	if !ok {
-		if n.opts.ScalarExec {
-			x = store.NewExec(p)
-		} else {
-			x = store.NewBatchExec(p)
-		}
+		x = store.NewExec(p)
 		x.SetShuffle(n.shuf)
 		n.execs[p] = x
 	}

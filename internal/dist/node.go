@@ -539,7 +539,7 @@ func (n *Node) evalRuleDelta(r *ndlog.Rule, idx int, delta value.Tuple) ([]deriv
 // executor is currently emitting: for each scan/delta step, the bound
 // candidate tuple's live provenance entry at this node. Tuples with no
 // recorded version (externally populated tables) are skipped.
-func (n *Node) collectAnts(plan *ndlog.Plan, x store.Runner, ants []prov.ID) []prov.ID {
+func (n *Node) collectAnts(plan *ndlog.Plan, x *store.Exec, ants []prov.ID) []prov.ID {
 	for _, si := range plan.AntSteps {
 		st := &plan.Steps[si]
 		if id := n.net.prov.Current(n.ID, st.Pred, x.CurTuple(si)); id != 0 {

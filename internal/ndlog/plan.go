@@ -91,24 +91,6 @@ func (c cBin) Eval(env *EvalEnv) (value.V, error) {
 
 func (c cBin) String() string { return c.l.String() + c.op + c.r.String() }
 
-// ExprSlot reports whether e is a plain slot reference, and which slot.
-// The batched executor uses this to read such expressions straight out of
-// a batch column instead of materializing a frame.
-func ExprSlot(e CExpr) (int, bool) {
-	if s, ok := e.(cSlot); ok {
-		return s.slot, true
-	}
-	return -1, false
-}
-
-// ExprLit reports whether e is a literal, and its value.
-func ExprLit(e CExpr) (value.V, bool) {
-	if l, ok := e.(cLit); ok {
-		return l.v, true
-	}
-	return value.V{}, false
-}
-
 // StepKind identifies a plan step.
 type StepKind uint8
 

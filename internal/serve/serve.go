@@ -40,8 +40,9 @@ import (
 // Options configures a Server. Zero values take the defaults noted on
 // each field.
 type Options struct {
-	// CachePath backs the persistent verify-result cache; empty runs
-	// with a process-local in-memory cache only.
+	// CachePath backs the persistent verify-result cache. Empty opens no
+	// store, so there is no cache across requests at all: each verify
+	// request reuses results only within its own pipeline.
 	CachePath string
 	// MaxConcurrent is the number of jobs allowed to execute at once
 	// (default 8). Further admitted jobs wait in the queue.

@@ -73,6 +73,29 @@ func (x *Exec) Run(ts TableSource, delta []value.Tuple, seed []value.V, emit fun
 	return x.probes, err
 }
 
+// PreparePlan builds every index p probes and compacts the tables it
+// scans in full. Parallel evaluators call it from a single-threaded phase
+// before concurrent Runs, so that the Runs never mutate shared Table or
+// Index state (they then only read prebuilt structures, besides whatever
+// their emit callbacks write).
+func PreparePlan(ts TableSource, p *ndlog.Plan) {
+	for i := range p.Steps {
+		st := &p.Steps[i]
+		switch st.Kind {
+		case ndlog.StepScan, ndlog.StepNotExists:
+			t := ts.Table(st.Pred)
+			if t == nil {
+				continue
+			}
+			if len(st.KeyCols) > 0 {
+				t.IndexOn(st.KeyCols)
+			} else {
+				t.All() // compact now, not mid-run
+			}
+		}
+	}
+}
+
 // CheckDeltaArity validates the supplied delta tuples against the arity
 // recorded at plan-build time. A mismatch is a planner or caller bug;
 // reporting it up front keeps it from masquerading as an empty join.

@@ -312,9 +312,13 @@ func (t *Table) Lookup(cols []int, vals []value.V) []value.Tuple {
 	return ix.buckets[string(b)]
 }
 
-// indexFor returns the Index registered for cols, creating an empty one
-// (no representation built yet) on first use.
-func (t *Table) indexFor(cols []int) *Index {
+// IndexOn returns the hash index over cols, building it on first use
+// from the insertion-order scan (deterministic) and maintaining it
+// incrementally afterwards. The first call for a column set registers
+// the index on the table, so it must not race with other goroutines;
+// parallel evaluators build every index they probe in a single-threaded
+// prepare phase (see PreparePlan).
+func (t *Table) IndexOn(cols []int) *Index {
 	var sig strings.Builder
 	for i, c := range cols {
 		if i > 0 {
@@ -325,33 +329,16 @@ func (t *Table) indexFor(cols []int) *Index {
 	if ix, ok := t.indexes[sig.String()]; ok {
 		return ix
 	}
-	ix := &Index{cols: append([]int(nil), cols...)}
+	ix := &Index{cols: append([]int(nil), cols...), buckets: map[string][]value.Tuple{}}
+	for _, tup := range t.All() {
+		if tup != nil {
+			ix.add(tup)
+		}
+	}
 	if t.indexes == nil {
 		t.indexes = map[string]*Index{}
 	}
 	t.indexes[sig.String()] = ix
-	return ix
-}
-
-// IndexOn returns the string-keyed hash index over cols, building it on
-// first use from the insertion-order scan (deterministic) and
-// maintaining it incrementally afterwards.
-func (t *Table) IndexOn(cols []int) *Index {
-	ix := t.indexFor(cols)
-	ix.ensureStr(t)
-	return ix
-}
-
-// HashIndexOn returns the index over cols with its flat fingerprint
-// table built, the representation the batched executor probes by uint64
-// value hash instead of by encoded string key. Building it does not
-// build the string buckets, so a batched-only evaluator never pays for
-// them. Must not be called while another goroutine reads the index;
-// parallel evaluators build all indexes in a single-threaded prepare
-// phase.
-func (t *Table) HashIndexOn(cols []int) *Index {
-	ix := t.indexFor(cols)
-	ix.ensureFlat(t)
 	return ix
 }
 
@@ -367,175 +354,42 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Index is a hash index over a column set, with two lazily built
-// representations maintained side by side: string-encoded buckets (the
-// scalar executor's probe path) and a flat open-addressing table keyed
-// by uint64 value hash (the batched executor's probe path — no key
-// encoding, collisions verified against the stored key tuple). Each
-// representation is built on first use and maintained incrementally by
-// add/remove once built; an index used by only one path never pays for
-// the other.
+// Index is a hash index over a column set: tuples bucketed by the
+// '|'-separated value.V.AppendKey encoding of their indexed columns.
 type Index struct {
 	cols    []int
-	buckets map[string][]value.Tuple // nil until first string probe
-	keyBuf  []byte                   // add/remove scratch; never read by probes
-
-	flat     []hEntry // nil until first hashed probe; length is a power of two
-	flatLive int      // live entries
-	flatUsed int      // live + dead (tombstoned) entries
+	buckets map[string][]value.Tuple
+	keyBuf  []byte // add/remove scratch; never read by probes
 }
-
-// hEntry is one slot of the flat hash table. Dead entries (emptied by
-// removals) keep probe chains intact until the next rebuild.
-type hEntry struct {
-	hash  uint64
-	key   value.Tuple // the indexed column values, for collision checks
-	tups  []value.Tuple
-	state uint8 // 0 empty, 1 live, 2 dead
-}
-
-const (
-	hEmpty uint8 = iota
-	hLive
-	hDead
-)
 
 // Bucket returns the tuples whose indexed columns encode to key (built
 // with value.V.AppendKey, '|'-separated). The non-allocating
 // map[string(key)] conversion makes this the zero-allocation probe path.
 func (ix *Index) Bucket(key []byte) []value.Tuple { return ix.buckets[string(key)] }
 
-// HashOf folds the indexed columns of tup into a probe hash.
-func (ix *Index) HashOf(tup value.Tuple) uint64 {
-	h := value.HashSeed
-	for _, c := range ix.cols {
-		h = tup[c].Hash64(h)
-	}
-	return h
-}
+func (ix *Index) clear() { ix.buckets = map[string][]value.Tuple{} }
 
-// FlatBucket returns the tuples whose indexed columns equal kv, where h
-// is the value hash of kv (value.HashSeed folded through each element).
-// The hit is verified against the stored key, so hash collisions cost an
-// extra comparison, never a wrong bucket.
-func (ix *Index) FlatBucket(h uint64, kv []value.V) []value.Tuple {
-	mask := uint64(len(ix.flat) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := &ix.flat[i]
-		if e.state == hEmpty {
-			return nil
+// setKey encodes the indexed columns of tup into ix.keyBuf.
+func (ix *Index) setKey(tup value.Tuple) {
+	ix.keyBuf = ix.keyBuf[:0]
+	for i, c := range ix.cols {
+		if i > 0 {
+			ix.keyBuf = append(ix.keyBuf, '|')
 		}
-		if e.state == hLive && e.hash == h && keyMatch(e.key, kv) {
-			return e.tups
-		}
-	}
-}
-
-// FlatBucket1 is FlatBucket for single-column indexes: the key is one
-// value, so the probe skips the key-slice walk.
-func (ix *Index) FlatBucket1(h uint64, kv value.V) []value.Tuple {
-	mask := uint64(len(ix.flat) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := &ix.flat[i]
-		if e.state == hEmpty {
-			return nil
-		}
-		if e.state == hLive && e.hash == h && e.key[0].Equal(kv) {
-			return e.tups
-		}
-	}
-}
-
-func keyMatch(key value.Tuple, kv []value.V) bool {
-	for i := range key {
-		if !key[i].Equal(kv[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func (ix *Index) ensureStr(t *Table) {
-	if ix.buckets != nil {
-		return
-	}
-	ix.buckets = map[string][]value.Tuple{}
-	for _, tup := range t.All() {
-		if tup == nil {
-			continue
-		}
-		ix.strAdd(tup)
-	}
-}
-
-func (ix *Index) ensureFlat(t *Table) {
-	if ix.flat != nil {
-		return
-	}
-	size := 8
-	for size*3 < (t.Len()+1)*4 {
-		size *= 2
-	}
-	ix.flat = make([]hEntry, size)
-	for _, tup := range t.All() {
-		if tup == nil {
-			continue
-		}
-		ix.flatAdd(tup)
-	}
-}
-
-func (ix *Index) clear() {
-	if ix.buckets != nil {
-		ix.buckets = map[string][]value.Tuple{}
-	}
-	if ix.flat != nil {
-		ix.flat = make([]hEntry, 8)
-		ix.flatLive, ix.flatUsed = 0, 0
+		ix.keyBuf = tup[c].AppendKey(ix.keyBuf)
 	}
 }
 
 func (ix *Index) add(tup value.Tuple) {
-	if ix.buckets != nil {
-		ix.strAdd(tup)
-	}
-	if ix.flat != nil {
-		ix.flatAdd(tup)
-	}
-}
-
-// remove drops tup from whichever representations are built. cow forces
-// copy-on-write bucket updates: while the owning table is pinned, an
-// outstanding scan may hold the bucket slice, so surviving tuples must
-// not be shifted under it.
-func (ix *Index) remove(tup value.Tuple, cow bool) {
-	if ix.buckets != nil {
-		ix.strRemove(tup, cow)
-	}
-	if ix.flat != nil {
-		ix.flatRemove(tup, cow)
-	}
-}
-
-func (ix *Index) strAdd(tup value.Tuple) {
-	ix.keyBuf = ix.keyBuf[:0]
-	for i, c := range ix.cols {
-		if i > 0 {
-			ix.keyBuf = append(ix.keyBuf, '|')
-		}
-		ix.keyBuf = tup[c].AppendKey(ix.keyBuf)
-	}
+	ix.setKey(tup)
 	ix.buckets[string(ix.keyBuf)] = append(ix.buckets[string(ix.keyBuf)], tup)
 }
 
-func (ix *Index) strRemove(tup value.Tuple, cow bool) {
-	ix.keyBuf = ix.keyBuf[:0]
-	for i, c := range ix.cols {
-		if i > 0 {
-			ix.keyBuf = append(ix.keyBuf, '|')
-		}
-		ix.keyBuf = tup[c].AppendKey(ix.keyBuf)
-	}
+// remove drops tup from its bucket. cow forces a copy-on-write update:
+// while the owning table is pinned, an outstanding scan may hold the
+// bucket slice, so surviving tuples must not be shifted under it.
+func (ix *Index) remove(tup value.Tuple, cow bool) {
+	ix.setKey(tup)
 	b := ix.buckets[string(ix.keyBuf)]
 	for i, u := range b {
 		if u.Equal(tup) {
@@ -550,113 +404,6 @@ func (ix *Index) strRemove(tup value.Tuple, cow bool) {
 			b[len(b)-1] = nil
 			ix.buckets[string(ix.keyBuf)] = b[:len(b)-1]
 			return
-		}
-	}
-}
-
-func (ix *Index) flatAdd(tup value.Tuple) {
-	if (ix.flatUsed+1)*4 >= len(ix.flat)*3 {
-		ix.flatGrow()
-	}
-	h := ix.HashOf(tup)
-	mask := uint64(len(ix.flat) - 1)
-	firstDead := -1
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := &ix.flat[i]
-		switch e.state {
-		case hEmpty:
-			if firstDead >= 0 {
-				e = &ix.flat[firstDead]
-			} else {
-				ix.flatUsed++
-			}
-			key := make(value.Tuple, len(ix.cols))
-			for j, c := range ix.cols {
-				key[j] = tup[c]
-			}
-			e.hash, e.key, e.state = h, key, hLive
-			e.tups = append(e.tups[:0], tup)
-			ix.flatLive++
-			return
-		case hDead:
-			if firstDead < 0 {
-				firstDead = int(i)
-			}
-		case hLive:
-			if e.hash == h && tupMatch(e.key, tup, ix.cols) {
-				e.tups = append(e.tups, tup)
-				return
-			}
-		}
-	}
-}
-
-func (ix *Index) flatRemove(tup value.Tuple, cow bool) {
-	h := ix.HashOf(tup)
-	mask := uint64(len(ix.flat) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		e := &ix.flat[i]
-		if e.state == hEmpty {
-			return
-		}
-		if e.state != hLive || e.hash != h || !tupMatch(e.key, tup, ix.cols) {
-			continue
-		}
-		for j, u := range e.tups {
-			if u.Equal(tup) {
-				if cow {
-					nb := make([]value.Tuple, 0, len(e.tups)-1)
-					nb = append(nb, e.tups[:j]...)
-					nb = append(nb, e.tups[j+1:]...)
-					e.tups = nb
-				} else {
-					copy(e.tups[j:], e.tups[j+1:])
-					e.tups[len(e.tups)-1] = nil
-					e.tups = e.tups[:len(e.tups)-1]
-				}
-				if len(e.tups) == 0 {
-					e.state, e.key, e.tups = hDead, nil, nil
-					ix.flatLive--
-				}
-				return
-			}
-		}
-		return
-	}
-}
-
-func tupMatch(key value.Tuple, tup value.Tuple, cols []int) bool {
-	for i, c := range cols {
-		if !key[i].Equal(tup[c]) {
-			return false
-		}
-	}
-	return true
-}
-
-func (ix *Index) flatGrow() {
-	old := ix.flat
-	size := len(old) * 2
-	for size*3 < (ix.flatLive+1)*8 {
-		size *= 2
-	}
-	ix.flat = make([]hEntry, size)
-	ix.flatUsed, ix.flatLive = 0, 0
-	mask := uint64(size - 1)
-	for oi := range old {
-		e := &old[oi]
-		if e.state != hLive {
-			continue
-		}
-		for i := e.hash & mask; ; i = (i + 1) & mask {
-			n := &ix.flat[i]
-			if n.state != hEmpty {
-				continue
-			}
-			*n = *e
-			ix.flatUsed++
-			ix.flatLive++
-			break
 		}
 	}
 }

@@ -2,11 +2,10 @@ package value
 
 // Fingerprint hashing for values and tuples: a splitmix64-mixed stream
 // hash, the same construction the model checker uses for state dedup.
-// Distinct values collide with probability ~2^-64; the batched plan
-// executor uses it both for index probes (verified against the stored
-// key, so collisions cost a comparison, never correctness) and for
-// join-output fingerprint dedup (unverified, like model-checker state
-// fingerprints).
+// Distinct values collide with probability ~2^-64. It backs unverified
+// fingerprints, like model-checker state fingerprints: table digests
+// (store.Table.Digest, the anti-entropy exchange) and the derivation-frame
+// dedup of incremental maintenance (store.FrameSet).
 
 // HashSeed is the canonical initial hash state.
 const HashSeed uint64 = 0x9e3779b97f4a7c15
