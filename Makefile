@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench chaos-smoke determinism-smoke prov-smoke verify-smoke serve-smoke scale-smoke bench-harness fmt-check experiments
+.PHONY: all build vet test race bench chaos-smoke determinism-smoke prov-smoke verify-smoke serve-smoke scale-smoke differential bench-harness fmt-check experiments
 
 all: vet build test
 
@@ -38,6 +38,13 @@ serve-smoke:
 
 scale-smoke:
 	$(GO) test -count=1 -run 'TestScaleISP10k|TestFatTreeConverges' -v -timeout 10m ./internal/dist/
+
+# The oracle tests under the race detector: the engine against dist on
+# generated programs, dist against the centralized spec, crash/restart
+# against a fault-free run, incremental churn against recomputation, and
+# the aggregate programs both evaluators must agree on.
+differential:
+	$(GO) test -race -count=1 -run '^(TestEngineDistAgreeOnRandomPrograms|TestDistributedEquivalentToCentralizedQuick|TestGeneratedProgramsSurviveCrashRestart|TestIncrementalChurnMatchesRecomputeOnRandomPrograms|TestAggregatesMatchEngine)$$' -v ./internal/dist/
 
 # The benchmark harness is its own module (fvnbench/go.mod): its tests
 # (negative controls, metric-name pins) do not run under go test ./...

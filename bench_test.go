@@ -645,10 +645,11 @@ func BenchmarkProvOverhead(b *testing.B) {
 
 // --- PR2: compiled join plans vs. the seed nested-loop joiner ----------------
 
-// The seedJoin* helpers reimplement the growth seed's joiner verbatim: a
+// The seedJoin* helpers reimplement the growth seed's joiner: a
 // map[string]value.V environment threaded through a recursive walk over
 // the body literals in source order, with indexed lookups on the columns
-// the environment happens to bind. BenchmarkJoinPlan measures it against
+// the environment happens to bind, and candidates unified by the
+// interpreted matcher ndlog.MatchAtom. BenchmarkJoinPlan measures it against
 // the compiled plan executor on the same engine fixpoint, so the delta is
 // purely the join machinery (selectivity-ordered atoms, integer slots,
 // reusable frame, allocation-free index keys).
@@ -680,42 +681,6 @@ func seedLookup(eng *datalog.Engine, atom *ndlog.Atom, env map[string]value.V) [
 	return rel.Lookup(cols, vals)
 }
 
-func seedMatchAtom(atom *ndlog.Atom, t value.Tuple, env map[string]value.V) ([]string, bool, error) {
-	var bound []string
-	fail := func() ([]string, bool, error) {
-		for _, name := range bound {
-			delete(env, name)
-		}
-		return nil, false, nil
-	}
-	for i, arg := range atom.Args {
-		switch x := arg.(type) {
-		case ndlog.VarE:
-			if v, ok := env[x.Name]; ok {
-				if !v.Equal(t[i]) {
-					return fail()
-				}
-			} else {
-				env[x.Name] = t[i]
-				bound = append(bound, x.Name)
-			}
-		case ndlog.LitE:
-			if !x.Val.Equal(t[i]) {
-				return fail()
-			}
-		default:
-			v, err := ndlog.EvalExpr(arg, env)
-			if err != nil {
-				return nil, false, err
-			}
-			if !v.Equal(t[i]) {
-				return fail()
-			}
-		}
-	}
-	return bound, true, nil
-}
-
 func seedJoinBody(eng *datalog.Engine, r *ndlog.Rule, emit func(map[string]value.V) error) error {
 	body := r.Body
 	env := map[string]value.V{}
@@ -728,10 +693,7 @@ func seedJoinBody(eng *datalog.Engine, r *ndlog.Rule, emit func(map[string]value
 		switch {
 		case l.Atom != nil && !l.Neg:
 			for _, t := range seedLookup(eng, l.Atom, env) {
-				bound, ok, err := seedMatchAtom(l.Atom, t, env)
-				if err != nil {
-					return err
-				}
+				bound, ok := ndlog.MatchAtom(l.Atom, t, env, false)
 				if !ok {
 					continue
 				}
@@ -746,11 +708,7 @@ func seedJoinBody(eng *datalog.Engine, r *ndlog.Rule, emit func(map[string]value
 		case l.Atom != nil && l.Neg:
 			found := false
 			for _, t := range seedLookup(eng, l.Atom, env) {
-				_, ok, err := seedMatchAtom(l.Atom, t, env)
-				if err != nil {
-					return err
-				}
-				if ok {
+				if _, ok := ndlog.MatchAtom(l.Atom, t, env, false); ok {
 					found = true
 					break
 				}

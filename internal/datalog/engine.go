@@ -3,8 +3,9 @@ package datalog
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -538,7 +539,7 @@ func (e *Engine) evalRuleCollect(c *evalCtx, r *ndlog.Rule, deltaIdx int, delta 
 				}
 			}
 			if e.prov.Enabled() {
-				cause := e.prov.Rule(0, "", r.Label, e.collectAnts(plan, x))
+				cause := e.prov.Rule(0, "", r.Label, x.Antecedents(e.prov, "", &e.provAnts))
 				e.prov.Tuple(0, "", r.Head.Pred, t, cause)
 			}
 			added = append(added, t)
@@ -551,20 +552,6 @@ func (e *Engine) evalRuleCollect(c *evalCtx, r *ndlog.Rule, deltaIdx int, delta 
 		ro.eval.Observe(time.Since(t0))
 	}
 	return added, err
-}
-
-// collectAnts resolves the tuples currently bound by the plan's scan and
-// delta steps to their provenance ids — the antecedents of the firing.
-func (e *Engine) collectAnts(plan *ndlog.Plan, x *store.Exec) []prov.ID {
-	ants := e.provAnts[:0]
-	for _, si := range plan.AntSteps {
-		st := &plan.Steps[si]
-		if id := e.prov.Current("", st.Pred, x.CurTuple(si)); id != 0 {
-			ants = append(ants, id)
-		}
-	}
-	e.provAnts = ants
-	return ants
 }
 
 // addFiring counts one head derivation (nil-safe for the disabled path).
@@ -611,131 +598,38 @@ func (e *Engine) evalDelete(c *evalCtx, r *ndlog.Rule) error {
 	return nil
 }
 
-// evalAggregate evaluates an aggregate-head rule: group by the non-
-// aggregate head arguments and fold the aggregated variable.
+// evalAggregate runs an aggregate rule's full pass and inserts one head
+// tuple per group, in group-key order.
 func (e *Engine) evalAggregate(c *evalCtx, r *ndlog.Rule) error {
-	plan := e.An.Plans[r].Full
-	if plan.AggIdx < 0 {
-		return fmt.Errorf("datalog: rule %s is not an aggregate rule", r.Label)
-	}
-	x := e.exec(c, plan)
-
 	ro := e.ruleObs[r]
 	var t0 time.Time
 	if ro != nil {
 		t0 = time.Now()
 	}
-	type group struct {
-		key  value.Tuple // non-aggregate head values
-		best value.V
-		n    int64
-		ants []prov.ID // contributing tuple versions (capped)
-	}
-	// maxAggAnts bounds the antecedents recorded per aggregate group so a
-	// wide group cannot bloat the provenance arena.
-	const maxAggAnts = 16
-	groups := map[string]*group{}
-	collect := func(g *group) {
-		if !e.prov.Enabled() || len(g.ants) >= maxAggAnts {
-			return
-		}
-	next:
-		for _, si := range plan.AntSteps {
-			st := &plan.Steps[si]
-			id := e.prov.Current("", st.Pred, x.CurTuple(si))
-			if id == 0 {
-				continue
-			}
-			for _, have := range g.ants {
-				if have == id {
-					continue next
-				}
-			}
-			g.ants = append(g.ants, id)
-			if len(g.ants) >= maxAggAnts {
-				return
-			}
-		}
-	}
-	probes, err := x.Run(e, nil, nil, func(frame []value.V) error {
-		key := make(value.Tuple, 0, len(plan.HeadExprs)-1)
-		for i, ce := range plan.HeadExprs {
-			if i == plan.AggIdx {
-				continue
-			}
-			v, err := ce.Eval(x.Env())
-			if err != nil {
-				return err
-			}
-			key = append(key, v)
-		}
-		var av value.V
-		if plan.AggSlot >= 0 {
-			av = frame[plan.AggSlot]
-		}
-		k := key.Key()
-		g, ok := groups[k]
-		if !ok {
-			if plan.AggKind == "sum" && av.K != value.KindInt {
-				return fmt.Errorf("datalog: rule %s: sum over non-integer", r.Label)
-			}
-			g = &group{key: key, best: av, n: 1}
-			groups[k] = g
-			collect(g)
-			return nil
-		}
-		g.n++
-		collect(g)
-		switch plan.AggKind {
-		case "min":
-			if av.Compare(g.best) < 0 {
-				g.best = av
-			}
-		case "max":
-			if av.Compare(g.best) > 0 {
-				g.best = av
-			}
-		case "sum":
-			if av.K != value.KindInt || g.best.K != value.KindInt {
-				return fmt.Errorf("datalog: rule %s: sum over non-integer", r.Label)
-			}
-			g.best = value.Int(g.best.I + av.I)
-		}
-		return nil
-	})
-	c.stats.JoinProbes += int(probes)
+	groups, err := e.aggPass(c, r, nil)
 	if ro != nil {
-		ro.probes.Add(probes)
+		ro.probes.Add(e.exec(c, e.An.Plans[r].Full).Probes())
 		defer func() { ro.eval.Observe(time.Since(t0)) }()
 	}
 	if err != nil {
 		return err
 	}
-	rel := e.rels[r.Head.Pred]
-	var keys []string
-	for k := range groups {
-		keys = append(keys, k)
+	// Insert in the order of the groups' non-aggregate head values.
+	plan := e.An.Plans[r].Full
+	type keyed struct {
+		key string
+		g   store.AggGroup
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		g := groups[k]
-		out := make(value.Tuple, len(r.Head.Args))
-		gi := 0
-		for i := range r.Head.Args {
-			if i == plan.AggIdx {
-				if plan.AggKind == "count" {
-					out[i] = value.Int(g.n)
-				} else {
-					out[i] = g.best
-				}
-				continue
-			}
-			out[i] = g.key[gi]
-			gi++
-		}
-		c.stats.Derivations++
+	sorted := make([]keyed, len(groups))
+	for i, g := range groups {
+		sorted[i] = keyed{groupValues(plan, g.Out).Key(), g}
+	}
+	slices.SortFunc(sorted, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	rel := e.rels[r.Head.Pred]
+	for _, k := range sorted {
+		g := k.g
 		ro.addFiring()
-		isNew, err := rel.Insert(out)
+		isNew, err := rel.Insert(g.Out)
 		if err != nil {
 			return err
 		}
@@ -744,12 +638,12 @@ func (e *Engine) evalAggregate(c *evalCtx, r *ndlog.Rule) error {
 			if ro != nil {
 				ro.emitted.Add(1)
 				if e.tracer != nil {
-					e.tracer.Emit(obs.Event{Kind: obs.EvTupleDerived, Rule: r.Label, Pred: r.Head.Pred, Tuple: out.String()})
+					e.tracer.Emit(obs.Event{Kind: obs.EvTupleDerived, Rule: r.Label, Pred: r.Head.Pred, Tuple: g.Out.String()})
 				}
 			}
 			if e.prov.Enabled() {
-				cause := e.prov.Rule(0, "", r.Label, g.ants)
-				e.prov.Tuple(0, "", r.Head.Pred, out, cause)
+				cause := e.prov.Rule(0, "", r.Label, g.Ants)
+				e.prov.Tuple(0, "", r.Head.Pred, g.Out, cause)
 			}
 		}
 	}

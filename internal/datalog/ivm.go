@@ -1,8 +1,8 @@
 package datalog
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ndlog"
@@ -53,25 +53,11 @@ type deltaReader struct {
 	idxs []int
 }
 
-// aggReader lists the body atoms through which one aggregate rule reads a
-// predicate.
-type aggReader struct {
-	r     *ndlog.Rule
-	atoms []*ndlog.Atom
-}
-
 // aggDirt accumulates the groups of one aggregate rule invalidated by the
 // current update (all=true: recompute every group).
 type aggDirt struct {
 	all    bool
 	groups map[string]value.Tuple
-}
-
-// aggOutVal is one aggregate group's current output and the antecedents
-// that contributed to it.
-type aggOutVal struct {
-	out  value.Tuple
-	ants []prov.ID
 }
 
 // ivmState is the engine's incremental-maintenance machinery, built
@@ -84,7 +70,7 @@ type ivmState struct {
 	kind       map[string]predKind
 	readers    map[string][]deltaReader // positive body occurrences
 	negReaders map[string][]deltaReader // negated body occurrences
-	aggReaders map[string][]aggReader
+	aggReaders map[string][]*ndlog.Rule // aggregate rules by body pred
 	aggStratum [][]*ndlog.Rule          // aggregate rules by head stratum
 	headRules  map[string][]*ndlog.Rule // plain rules by head pred (re-derivation)
 
@@ -97,7 +83,7 @@ type ivmState struct {
 	recSeen []map[string]struct{}
 
 	aggDirty map[*ndlog.Rule]*aggDirt
-	aggOut   map[*ndlog.Rule]map[string]aggOutVal
+	aggOut   map[*ndlog.Rule]map[string]store.AggGroup // by aggKey
 
 	frames   store.FrameSet
 	deltaBuf [1]value.Tuple
@@ -196,7 +182,7 @@ func (e *Engine) ivmStatic() *ivmState {
 
 	s.readers = map[string][]deltaReader{}
 	s.negReaders = map[string][]deltaReader{}
-	s.aggReaders = map[string][]aggReader{}
+	s.aggReaders = map[string][]*ndlog.Rule{}
 	s.aggStratum = make([][]*ndlog.Rule, ns)
 	s.headRules = map[string][]*ndlog.Rule{}
 	for _, r := range an.Prog.Rules {
@@ -207,19 +193,10 @@ func (e *Engine) ivmStatic() *ivmState {
 		if aggIdx >= 0 {
 			st := an.StratumOf[r.Head.Pred]
 			s.aggStratum[st] = append(s.aggStratum[st], r)
-			byPred := map[string][]*ndlog.Atom{}
-			var order []string
 			for _, l := range r.Body {
-				if l.Atom == nil {
-					continue
+				if l.Atom != nil && !slices.Contains(s.aggReaders[l.Atom.Pred], r) {
+					s.aggReaders[l.Atom.Pred] = append(s.aggReaders[l.Atom.Pred], r)
 				}
-				if _, ok := byPred[l.Atom.Pred]; !ok {
-					order = append(order, l.Atom.Pred)
-				}
-				byPred[l.Atom.Pred] = append(byPred[l.Atom.Pred], l.Atom)
-			}
-			for _, pred := range order {
-				s.aggReaders[pred] = append(s.aggReaders[pred], aggReader{r: r, atoms: byPred[pred]})
 			}
 			continue
 		}
@@ -252,7 +229,7 @@ func (e *Engine) ivmStatic() *ivmState {
 	s.recDel = make([][]chg, ns)
 	s.recSeen = make([]map[string]struct{}, ns)
 	s.aggDirty = map[*ndlog.Rule]*aggDirt{}
-	s.aggOut = map[*ndlog.Rule]map[string]aggOutVal{}
+	s.aggOut = map[*ndlog.Rule]map[string]store.AggGroup{}
 	return s
 }
 
@@ -303,7 +280,7 @@ func (e *Engine) ensureReady(c *evalCtx) error {
 		if _, aggIdx := r.Head.HeadAgg(); aggIdx < 0 {
 			continue
 		}
-		out, err := e.computeAggGroups(c, r)
+		out, err := e.aggOutputs(c, r)
 		if err != nil {
 			return err
 		}
@@ -507,7 +484,7 @@ func (e *Engine) runReaders(c *evalCtx, rds []deltaReader, tup value.Tuple, loss
 					return fmt.Errorf("datalog: head of %s: %w", rd.r.Head.Pred, err)
 				}
 				c.stats.Derivations++
-				e.headEffect(c, rd.r, plan, x, head, loss)
+				e.headEffect(rd.r, x, head, loss)
 				return nil
 			})
 			c.stats.JoinProbes += int(probes)
@@ -521,7 +498,7 @@ func (e *Engine) runReaders(c *evalCtx, rds []deltaReader, tup value.Tuple, loss
 
 // headEffect applies one gained or lost derivation of head to its
 // predicate's maintenance discipline.
-func (e *Engine) headEffect(c *evalCtx, r *ndlog.Rule, plan *ndlog.Plan, x *store.Exec, head value.Tuple, loss bool) {
+func (e *Engine) headEffect(r *ndlog.Rule, x *store.Exec, head value.Tuple, loss bool) {
 	pred := r.Head.Pred
 	rel := e.rels[pred]
 	switch e.ivm.kind[pred] {
@@ -535,7 +512,7 @@ func (e *Engine) headEffect(c *evalCtx, r *ndlog.Rule, plan *ndlog.Plan, x *stor
 		if rel.AddSupport(head) == 1 {
 			var cause prov.ID
 			if e.prov.Enabled() {
-				cause = e.prov.Rule(0, "", r.Label, e.collectAnts(plan, x))
+				cause = e.prov.Rule(0, "", r.Label, x.Antecedents(e.prov, "", &e.provAnts))
 			}
 			e.push(chg{Change: Change{Pred: pred, Tup: head}, cause: cause})
 		}
@@ -547,7 +524,7 @@ func (e *Engine) headEffect(c *evalCtx, r *ndlog.Rule, plan *ndlog.Plan, x *stor
 		if !rel.Contains(head) {
 			var cause prov.ID
 			if e.prov.Enabled() {
-				cause = e.prov.Rule(0, "", r.Label, e.collectAnts(plan, x))
+				cause = e.prov.Rule(0, "", r.Label, x.Antecedents(e.prov, "", &e.provAnts))
 			}
 			e.push(chg{Change: Change{Pred: pred, Tup: head}, cause: cause})
 		}
@@ -587,11 +564,22 @@ func (e *Engine) resolveRec(c *evalCtx, st int) error {
 			continue
 		}
 		for _, r := range s.headRules[ch.Pred] {
-			cause, ok, err := e.rederive(c, r, ch.Tup)
+			rp := e.An.Plans[r]
+			x := e.exec(c, rp.HeadSeeded)
+			var witness func() // keeps the witnessing firing's antecedents
+			if e.prov.Enabled() {
+				witness = func() { x.Antecedents(e.prov, "", &e.provAnts) }
+			}
+			ok, err := store.Rederivable(x, e, rp.HeadSeedCols, ch.Tup, witness)
+			c.stats.JoinProbes += int(x.Probes())
 			if err != nil {
 				return err
 			}
 			if ok {
+				var cause prov.ID
+				if e.prov.Enabled() {
+					cause = e.prov.Rule(0, "", r.Label+"/rederive", e.provAnts)
+				}
 				ins := chg{Change: Change{Pred: ch.Pred, Tup: ch.Tup}, cause: cause}
 				if err := e.applyChange(c, ins); err != nil {
 					return err
@@ -603,87 +591,35 @@ func (e *Engine) resolveRec(c *evalCtx, st int) error {
 	return nil
 }
 
-// rederive is the DRed re-derivation check: does rule r still derive
-// head from the current state? Runs the rule's head-seeded plan and
-// stops at the first witness.
-func (e *Engine) rederive(c *evalCtx, r *ndlog.Rule, head value.Tuple) (prov.ID, bool, error) {
-	rp := e.An.Plans[r]
-	if rp.HeadSeeded == nil {
-		return 0, false, nil
-	}
-	plan := rp.HeadSeeded
-	seed := make([]value.V, len(rp.HeadSeedCols))
-	for i, col := range rp.HeadSeedCols {
-		seed[i] = head[col]
-	}
-	x := e.exec(c, plan)
-	buf := make(value.Tuple, len(head))
-	var cause prov.ID
-	found := false
-	probes, err := x.Run(e, nil, seed, func([]value.V) error {
-		if err := plan.BuildHead(x.Env(), buf); err != nil {
-			return err
-		}
-		if buf.Equal(head) {
-			found = true
-			if e.prov.Enabled() {
-				cause = e.prov.Rule(0, "", r.Label+"/rederive", e.collectAnts(plan, x))
-			}
-			return store.ErrStop
-		}
-		return nil
-	})
-	c.stats.JoinProbes += int(probes)
-	if err != nil && !errors.Is(err, store.ErrStop) {
-		return 0, false, err
-	}
-	return cause, found, nil
-}
-
 // markAggDirty invalidates the aggregate groups a changed tuple can
-// reach: the tuple is matched against each aggregate rule's body atoms of
-// its predicate; a match that binds every group variable dirties exactly
-// that group, anything less dirties the whole rule. For min/max rules a
-// matched change whose contribution cannot displace the group's current
-// output (a deleted non-witness, an inserted non-improvement) is pruned
-// without recompute — the bulk of a deletion cascade's touched groups.
+// reach (RulePlans.AggGroups): a match that names its group dirties
+// exactly that group, anything less dirties the whole rule. For min/max
+// rules a matched change whose contribution cannot displace the group's
+// current output (a deleted non-witness, an inserted non-improvement) is
+// pruned without recompute — the bulk of a deletion cascade's touched
+// groups.
 func (e *Engine) markAggDirty(pred string, tup value.Tuple, loss bool) {
-	for _, ar := range e.ivm.aggReaders[pred] {
-		d := e.ivm.aggDirty[ar.r]
+	for _, r := range e.ivm.aggReaders[pred] {
+		d := e.ivm.aggDirty[r]
 		if d != nil && d.all {
 			continue
 		}
-		rp := e.An.Plans[ar.r]
-		for _, atom := range ar.atoms {
-			env, ok := matchAtomArgs(atom, tup)
-			if !ok {
-				continue
-			}
-			if rp.Seeded == nil {
-				e.setAggDirtyAll(ar.r)
-				break
-			}
-			key := make(value.Tuple, 0, len(rp.Seeded.SeedVars))
-			bound := true
-			for _, v := range rp.Seeded.SeedVars {
-				val, has := env[v]
-				if !has {
-					bound = false
-					break
-				}
-				key = append(key, val)
-			}
-			if !bound {
-				e.setAggDirtyAll(ar.r)
-				break
-			}
-			if e.aggChangeIrrelevant(ar.r, rp, key, env, loss) {
-				continue
-			}
-			if d == nil {
-				d = &aggDirt{groups: map[string]value.Tuple{}}
-				e.ivm.aggDirty[ar.r] = d
-			}
+		rp := e.An.Plans[r]
+		keys, all := rp.AggGroups(pred, tup, func(key value.Tuple, env map[string]value.V) bool {
+			return !e.aggChangeIrrelevant(r, rp, key, env, loss)
+		})
+		if all {
+			e.setAggDirtyAll(r)
+			continue
+		}
+		if len(keys) == 0 {
+			continue
+		}
+		if d == nil {
+			d = &aggDirt{groups: map[string]value.Tuple{}}
+			e.ivm.aggDirty[r] = d
+		}
+		for _, key := range keys {
 			d.groups[key.Key()] = key
 		}
 	}
@@ -711,7 +647,7 @@ func (e *Engine) aggChangeIrrelevant(r *ndlog.Rule, rp *ndlog.RulePlans, key val
 	if !ok {
 		return false
 	}
-	c := contrib.Compare(cur.out[aggIdx])
+	c := contrib.Compare(cur.Out[aggIdx])
 	if kind == "max" {
 		c = -c
 	}
@@ -730,33 +666,6 @@ func (e *Engine) setAggDirtyAll(r *ndlog.Rule) {
 	d.all = true
 }
 
-// matchAtomArgs unifies a stored tuple against an atom's argument
-// pattern: variables bind (consistently), literals must match, computed
-// arguments are wildcards. Reports no-match only on a definite conflict.
-func matchAtomArgs(atom *ndlog.Atom, tup value.Tuple) (map[string]value.V, bool) {
-	env := map[string]value.V{}
-	for i, arg := range atom.Args {
-		if i >= len(tup) {
-			return nil, false
-		}
-		switch a := arg.(type) {
-		case ndlog.VarE:
-			if v, ok := env[a.Name]; ok {
-				if !v.Equal(tup[i]) {
-					return nil, false
-				}
-			} else {
-				env[a.Name] = tup[i]
-			}
-		case ndlog.LitE:
-			if !a.Val.Equal(tup[i]) {
-				return nil, false
-			}
-		}
-	}
-	return env, true
-}
-
 // resolveAggs recomputes the dirty aggregate rules of one stratum and
 // pushes the output differences as ordinary changes (delete of the
 // superseded group output first, then the new one).
@@ -770,11 +679,11 @@ func (e *Engine) resolveAggs(c *evalCtx, st int) error {
 		delete(s.aggDirty, r)
 		old := s.aggOut[r]
 		if old == nil {
-			old = map[string]aggOutVal{}
+			old = map[string]store.AggGroup{}
 			s.aggOut[r] = old
 		}
 		if d.all {
-			newOut, err := e.computeAggGroups(c, r)
+			newOut, err := e.aggOutputs(c, r)
 			if err != nil {
 				return err
 			}
@@ -800,17 +709,17 @@ func (e *Engine) resolveAggs(c *evalCtx, st int) error {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			nv, ok, err := e.computeAggGroup(c, r, d.groups[k])
+			groups, err := e.aggPass(c, r, d.groups[k])
 			if err != nil {
 				return err
 			}
-			newOut := map[string]aggOutVal{}
-			if ok {
-				newOut[k] = nv
+			newOut := map[string]store.AggGroup{}
+			if len(groups) > 0 { // a seeded pass yields at most one group
+				newOut[k] = groups[0]
 			}
 			e.pushAggDiff(r, old, newOut, k)
-			if ok {
-				old[k] = nv
+			if len(groups) > 0 {
+				old[k] = groups[0]
 			} else {
 				delete(old, k)
 			}
@@ -821,20 +730,76 @@ func (e *Engine) resolveAggs(c *evalCtx, st int) error {
 
 // pushAggDiff queues the delete/insert pair that moves group k of rule r
 // from its old output to its new one.
-func (e *Engine) pushAggDiff(r *ndlog.Rule, old, newOut map[string]aggOutVal, k string) {
+func (e *Engine) pushAggDiff(r *ndlog.Rule, old, newOut map[string]store.AggGroup, k string) {
 	o, oOk := old[k]
 	n, nOk := newOut[k]
-	if oOk && nOk && o.out.Equal(n.out) {
+	if oOk && nOk && o.Out.Equal(n.Out) {
 		return
 	}
 	if oOk {
-		e.push(chg{Change: Change{Pred: r.Head.Pred, Tup: o.out, Del: true}, reason: "agg_update"})
+		e.push(chg{Change: Change{Pred: r.Head.Pred, Tup: o.Out, Del: true}, reason: "agg_update"})
 	}
 	if nOk {
 		var cause prov.ID
 		if e.prov.Enabled() {
-			cause = e.prov.Rule(0, "", r.Label, n.ants)
+			cause = e.prov.Rule(0, "", r.Label, n.Ants)
 		}
-		e.push(chg{Change: Change{Pred: r.Head.Pred, Tup: n.out}, cause: cause})
+		e.push(chg{Change: Change{Pred: r.Head.Pred, Tup: n.Out}, cause: cause})
 	}
+}
+
+// aggPass runs one pass of aggregate rule r on the shared kernel
+// (store.Aggregate): every group over the Full plan when seed is nil, the
+// one group seed names over the Seeded plan otherwise.
+func (e *Engine) aggPass(c *evalCtx, r *ndlog.Rule, seed value.Tuple) ([]store.AggGroup, error) {
+	plan := e.An.Plans[r].Full
+	if seed != nil {
+		plan = e.An.Plans[r].Seeded
+	}
+	x := e.exec(c, plan)
+	groups, err := store.Aggregate(x, e, seed, e.prov, "")
+	c.stats.JoinProbes += int(x.Probes())
+	c.stats.Derivations += len(groups)
+	return groups, err
+}
+
+// aggOutputs runs r's full pass and keys each group by aggKey, the key
+// markAggDirty derives from a changed tuple.
+func (e *Engine) aggOutputs(c *evalCtx, r *ndlog.Rule) (map[string]store.AggGroup, error) {
+	groups, err := e.aggPass(c, r, nil)
+	if err != nil {
+		return nil, err
+	}
+	rp := e.An.Plans[r]
+	out := make(map[string]store.AggGroup, len(groups))
+	for _, g := range groups {
+		out[aggKey(rp, g.Out).Key()] = g
+	}
+	return out, nil
+}
+
+// aggKey is the group key of an aggregate output tuple: its SeedVars
+// values when the rule has a Seeded plan (all its group columns are then
+// plain variables), otherwise its non-aggregate head values.
+func aggKey(rp *ndlog.RulePlans, out value.Tuple) value.Tuple {
+	if rp.Seeded == nil {
+		return groupValues(rp.Full, out)
+	}
+	head := rp.Full.Rule.Head.Args
+	key := make(value.Tuple, len(rp.Seeded.SeedVars))
+	for i, v := range rp.Seeded.SeedVars {
+		for col, arg := range head {
+			if a, ok := arg.(ndlog.VarE); ok && a.Name == v {
+				key[i] = out[col]
+				break
+			}
+		}
+	}
+	return key
+}
+
+// groupValues returns the non-aggregate head values of an aggregate
+// plan's output tuple.
+func groupValues(p *ndlog.Plan, out value.Tuple) value.Tuple {
+	return slices.Delete(slices.Clone(out), p.AggIdx, p.AggIdx+1)
 }

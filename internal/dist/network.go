@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -181,10 +182,13 @@ type Network struct {
 	// positively; aggTriggers lists aggregate rules by input predicate;
 	// headRules lists the non-delete, non-aggregate rules that can head a
 	// predicate and have a head-seeded plan — the re-derivation check of
-	// the deletion cascade.
+	// the deletion cascade. aggKeys holds the key columns of an
+	// undeclared aggregate head (its group columns), so a new aggregate
+	// value replaces the superseded one as in a declared table.
 	triggers    map[string][]trigger
 	aggTriggers map[string][]*ndlog.Rule
 	headRules   map[string][]*ndlog.Rule
+	aggKeys     map[string][]int
 
 	// outbox batches remote derivations by directed link within one event
 	// instant: deliver enqueues entries here and flushOutbox (end of each
@@ -339,15 +343,35 @@ func NewNetwork(prog *ndlog.Program, topo *netgraph.Topology, opts Options) (*Ne
 		triggers:      map[string][]trigger{},
 		aggTriggers:   map[string][]*ndlog.Rule{},
 		headRules:     map[string][]*ndlog.Rule{},
+		aggKeys:       map[string][]int{},
 		outbox:        map[string][]msgEntry{},
 		linkEpoch:     map[string]int{},
 		partCuts:      map[int][]netgraph.Link{},
 		waveSeen:      map[string]bool{},
 	}
 	n.hasChans = !n.defaultChan.Zero()
+	heads := map[string]int{}
+	for _, r := range localized.Rules {
+		if !r.Delete {
+			heads[r.Head.Pred]++
+		}
+	}
 	for _, r := range localized.Rules {
 		n.derived[r.Head.Pred] = true
-		agg, _ := r.Head.HeadAgg()
+		agg, aggIdx := r.Head.HeadAgg()
+		if agg != nil {
+			if m, ok := localized.MaterializedPred(r.Head.Pred); ok {
+				if slices.Contains(m.Keys, aggIdx+1) {
+					return nil, fmt.Errorf("dist: materialize(%s): key column %d is the aggregate of rule %s; key an aggregate head by its group columns", r.Head.Pred, aggIdx+1, r.Label)
+				}
+			} else if heads[r.Head.Pred] == 1 {
+				for c := range r.Head.Args {
+					if c != aggIdx {
+						n.aggKeys[r.Head.Pred] = append(n.aggKeys[r.Head.Pred], c)
+					}
+				}
+			}
+		}
 		seenAgg := map[string]bool{}
 		for i, l := range r.Body {
 			if l.Atom == nil || l.Neg {

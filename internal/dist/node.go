@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/ndlog"
@@ -20,7 +21,12 @@ import (
 // what lets one process hold 10^5..10^6 nodes. Tables are store.Table
 // instances — the same storage layer the centralized engine uses — and
 // rule bodies run through the compiled join plans of the localized
-// program's analysis on the shared plan executor.
+// program's analysis on the shared plan executor. The per-rule
+// maintenance pieces are the engine's too: aggregate groups are found by
+// ndlog's RulePlans.AggGroups and folded by store.Aggregate, the DRed
+// check is store.Rederivable, and antecedents come from
+// Exec.Antecedents. What stays in dist is localization, messaging,
+// keyed soft-state tables and the retraction cascade.
 type Node struct {
 	ID  string
 	net *Network
@@ -70,15 +76,15 @@ type derivation struct {
 // (predicate never materialized at this node) matches nothing.
 func (n *Node) Table(pred string) *store.Table { return n.tables[pred] }
 
-// table returns the node's table for pred, creating it from the
-// materialize declaration (1-based key columns, soft-state lifetime) on
-// first use.
+// table returns the node's table for pred, creating it on first use from
+// the materialize declaration (1-based key columns, soft-state lifetime)
+// or, for an undeclared aggregate head, keyed by its group columns.
 func (n *Node) table(pred string) *store.Table {
 	if t, ok := n.tables[pred]; ok {
 		return t
 	}
 	arity := n.net.an.Arity[pred]
-	var keys []int
+	keys := n.net.aggKeys[pred]
 	lifetime := 0.0
 	if m, ok := n.net.prog.MaterializedPred(pred); ok {
 		for _, k := range m.Keys {
@@ -196,77 +202,22 @@ func (n *Node) fire(pred string, tup value.Tuple) ([]derivation, error) {
 }
 
 // recomputeAggregate re-evaluates the aggregate rule for the groups the
-// changed tuple can affect (falling back to a full recompute when the
-// groups cannot be determined from the tuple alone).
+// changed tuple can affect (RulePlans.AggGroups), falling back to a full
+// recompute when the groups cannot be determined from the tuple alone.
 func (n *Node) recomputeAggregate(r *ndlog.Rule, pred string, tup value.Tuple) ([]derivation, error) {
-	seeds, full, relevant := n.aggSeeds(r, pred, tup)
-	if !relevant {
-		return nil, nil
-	}
-	if full {
+	keys, all := n.net.an.Plans[r].AggGroups(pred, tup, nil)
+	if all {
 		return n.evalAggregate(r, nil)
 	}
 	var out []derivation
-	for _, seed := range seeds {
-		ds, err := n.evalAggregate(r, seed)
+	for _, key := range keys {
+		ds, err := n.evalAggregate(r, key)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, ds...)
 	}
 	return out, nil
-}
-
-// aggSeeds determines the group bindings of r affected by a change to tup
-// of pred. It returns (seeds, needFullRecompute, tupleRelevant).
-func (n *Node) aggSeeds(r *ndlog.Rule, pred string, tup value.Tuple) ([]map[string]value.V, bool, bool) {
-	_, aggIdx := r.Head.HeadAgg()
-	var groupVars []string
-	for i, arg := range r.Head.Args {
-		if i == aggIdx {
-			continue
-		}
-		v, ok := arg.(ndlog.VarE)
-		if !ok {
-			return nil, true, true // computed group column: full recompute
-		}
-		groupVars = append(groupVars, v.Name)
-	}
-	seen := map[string]bool{}
-	var seeds []map[string]value.V
-	relevant := false
-	for _, l := range r.Body {
-		if l.Atom == nil || l.Neg || l.Atom.Pred != pred {
-			continue
-		}
-		env := map[string]value.V{}
-		_, ok, err := matchAtom(l.Atom, tup, env)
-		if err != nil || !ok {
-			continue
-		}
-		relevant = true
-		seed := map[string]value.V{}
-		complete := true
-		keyParts := make(value.Tuple, 0, len(groupVars))
-		for _, gv := range groupVars {
-			v, bound := env[gv]
-			if !bound {
-				complete = false
-				break
-			}
-			seed[gv] = v
-			keyParts = append(keyParts, v)
-		}
-		if !complete {
-			return nil, true, true // the atom does not determine the group
-		}
-		k := keyParts.Key()
-		if !seen[k] {
-			seen[k] = true
-			seeds = append(seeds, seed)
-		}
-	}
-	return seeds, false, relevant
 }
 
 // expire removes a soft-state tuple if it has not been refreshed and
@@ -389,8 +340,7 @@ func (n *Node) rederive(pred string, tup value.Tuple) (bool, error) {
 			continue // this rule derives the tuple at another node
 		}
 		rp := n.net.an.Plans[r]
-		x := n.net.exec(rp.HeadSeeded)
-		ok, err := store.Rederivable(x, n, rp.HeadSeeded, rp.HeadSeedCols, tup)
+		ok, err := store.Rederivable(n.net.exec(rp.HeadSeeded), n, rp.HeadSeedCols, tup, nil)
 		if err != nil {
 			return false, err
 		}
@@ -517,9 +467,7 @@ func (n *Node) evalRuleDelta(r *ndlog.Rule, idx int, delta value.Tuple) ([]deriv
 		}
 		var cause prov.ID
 		if n.net.prov.Enabled() {
-			ants := n.collectAnts(plan, x, n.net.provAnts[:0])
-			n.net.provAnts = ants
-			cause = n.net.prov.Rule(n.net.now, n.ID, r.Label, ants)
+			cause = n.net.prov.Rule(n.net.now, n.ID, r.Label, x.Antecedents(n.net.prov, n.ID, &n.net.provAnts))
 		}
 		d := derivation{pred: r.Head.Pred, tup: tup, loc: loc, cause: cause}
 		if r.Delete {
@@ -535,149 +483,39 @@ func (n *Node) evalRuleDelta(r *ndlog.Rule, idx int, delta value.Tuple) ([]deriv
 	return out, err
 }
 
-// collectAnts resolves the antecedent tuple versions of the frame the
-// executor is currently emitting: for each scan/delta step, the bound
-// candidate tuple's live provenance entry at this node. Tuples with no
-// recorded version (externally populated tables) are skipped.
-func (n *Node) collectAnts(plan *ndlog.Plan, x *store.Exec, ants []prov.ID) []prov.ID {
-	for _, si := range plan.AntSteps {
-		st := &plan.Steps[si]
-		if id := n.net.prov.Current(n.ID, st.Pred, x.CurTuple(si)); id != 0 {
-			ants = append(ants, id)
-		}
-	}
-	return ants
-}
-
-// maxAggAnts bounds the antecedents retained per aggregate group: an
-// aggregate over a large group cites its first contributors rather than
-// growing an unbounded lineage list.
-const maxAggAnts = 16
-
-// evalAggregate recomputes an aggregate rule and emits the per-group
-// results. A non-nil seed binds the group variables, restricting both the
-// join (via the compiled seeded plan) and the output to one group; a
-// seeded recompute that finds the group empty deletes the stale aggregate
-// tuple locally. Emitting into a keyed table makes the recompute
-// idempotent: unchanged groups are no-ops. Groups are emitted in
-// first-seen order, which is deterministic under the seeded scan shuffle.
-func (n *Node) evalAggregate(r *ndlog.Rule, seed map[string]value.V) ([]derivation, error) {
+// evalAggregate recomputes an aggregate rule on the shared kernel
+// (store.Aggregate) and emits the per-group results. A non-nil seed
+// holds the values of the Seeded plan's SeedVars, restricting the pass
+// to that one group; a seeded recompute that finds the group empty
+// deletes the stale aggregate tuple locally. Emitting into a keyed table
+// makes the recompute idempotent: unchanged groups are no-ops. Groups are
+// emitted in first-seen order, which is deterministic under the seeded
+// scan shuffle.
+func (n *Node) evalAggregate(r *ndlog.Rule, seed value.Tuple) ([]derivation, error) {
 	ro := n.net.ruleObs[r]
 	if ro != nil && ro.eval != nil {
 		defer func(t0 time.Time) { ro.eval.Observe(time.Since(t0)) }(time.Now())
 	}
 	rp := n.net.an.Plans[r]
 	plan := rp.Full
-	var seedVals []value.V
-	if seed != nil && rp.Seeded != nil {
+	if seed != nil {
 		plan = rp.Seeded
-		seedVals = make([]value.V, len(plan.SeedVars))
-		for i, name := range plan.SeedVars {
-			seedVals[i] = seed[name]
-		}
-	} else {
-		seed = nil // no seeded plan: recompute every group
 	}
 	x := n.net.exec(plan)
-
-	type group struct {
-		key  value.Tuple // non-aggregate head values
-		best value.V
-		cnt  int64
-		ants []prov.ID // contributing tuple versions (capped)
-	}
-	groups := map[string]*group{}
-	var order []string // first-seen group keys, for deterministic emission
-	collect := func(g *group) {
-		if !n.net.prov.Enabled() || len(g.ants) >= maxAggAnts {
-			return
-		}
-		tmp := n.collectAnts(plan, x, n.net.provAnts[:0])
-		n.net.provAnts = tmp
-	next:
-		for _, id := range tmp {
-			if len(g.ants) >= maxAggAnts {
-				break
-			}
-			for _, have := range g.ants {
-				if have == id {
-					continue next
-				}
-			}
-			g.ants = append(g.ants, id)
-		}
-	}
-	probes, err := x.Run(n, nil, seedVals, func(frame []value.V) error {
-		key := make(value.Tuple, 0, len(plan.HeadExprs)-1)
-		for i, ce := range plan.HeadExprs {
-			if i == plan.AggIdx {
-				continue
-			}
-			v, err := ce.Eval(x.Env())
-			if err != nil {
-				return err
-			}
-			key = append(key, v)
-		}
-		var av value.V
-		if plan.AggSlot >= 0 {
-			av = frame[plan.AggSlot]
-		}
-		k := key.Key()
-		g, ok := groups[k]
-		if !ok {
-			g = &group{key: key, best: av, cnt: 1}
-			groups[k] = g
-			order = append(order, k)
-			collect(g)
-			return nil
-		}
-		g.cnt++
-		collect(g)
-		switch plan.AggKind {
-		case "min":
-			if av.Compare(g.best) < 0 {
-				g.best = av
-			}
-		case "max":
-			if av.Compare(g.best) > 0 {
-				g.best = av
-			}
-		case "sum":
-			g.best = value.Int(g.best.I + av.I)
-		}
-		return nil
-	})
-	n.net.nm.joinProbes.Add(probes)
+	groups, err := store.Aggregate(x, n, seed, n.net.prov, n.ID)
+	n.net.nm.joinProbes.Add(x.Probes())
 	if ro != nil {
-		ro.probes.Add(probes)
+		ro.probes.Add(x.Probes())
 	}
 	if err != nil {
 		return nil, err
 	}
-	// A seeded recompute that finds its group empty retracts the stale
-	// aggregate tuple (locally) and cascades its loss.
 	if seed != nil && len(groups) == 0 {
-		return n.retractAggGroup(r, plan.AggIdx, seed)
+		return n.retractAggGroup(r, seed)
 	}
-	var out []derivation
-	for _, k := range order {
-		g := groups[k]
-		tup := make(value.Tuple, len(r.Head.Args))
-		gi := 0
-		for i := range r.Head.Args {
-			if i == plan.AggIdx {
-				if plan.AggKind == "count" {
-					tup[i] = value.Int(g.cnt)
-				} else {
-					tup[i] = g.best
-				}
-				continue
-			}
-			tup[i] = g.key[gi]
-			gi++
-		}
-		loc, err := n.headLoc(r, tup)
+	out := make([]derivation, 0, len(groups))
+	for _, g := range groups {
+		loc, err := n.headLoc(r, g.Out)
 		if err != nil {
 			return nil, err
 		}
@@ -688,9 +526,9 @@ func (n *Node) evalAggregate(r *ndlog.Rule, seed map[string]value.V) ([]derivati
 		}
 		var cause prov.ID
 		if n.net.prov.Enabled() {
-			cause = n.net.prov.Rule(n.net.now, n.ID, r.Label, g.ants)
+			cause = n.net.prov.Rule(n.net.now, n.ID, r.Label, g.Ants)
 		}
-		out = append(out, derivation{pred: r.Head.Pred, tup: tup, loc: loc, cause: cause})
+		out = append(out, derivation{pred: r.Head.Pred, tup: g.Out, loc: loc, cause: cause})
 	}
 	return out, nil
 }
@@ -706,28 +544,21 @@ func (n *Node) headLoc(r *ndlog.Rule, tup value.Tuple) (string, error) {
 	return v.S, nil
 }
 
-// retractAggGroup removes the stale aggregate tuple for the group named by
-// seed, when the head table's primary key is determined by the group
-// variables, and cascades the removed tuple's downstream losses.
-func (n *Node) retractAggGroup(r *ndlog.Rule, aggIdx int, seed map[string]value.V) ([]derivation, error) {
+// retractAggGroup removes the stale aggregate tuple of the group seed
+// names (values of the Seeded plan's SeedVars) and cascades its
+// downstream losses. The head table's key columns are group columns
+// (NewNetwork rejects a key on the aggregate column), so seed determines
+// the key; a whole-tuple key cannot name the stale tuple without its
+// value, and the tuple stays.
+func (n *Node) retractAggGroup(r *ndlog.Rule, seed value.Tuple) ([]derivation, error) {
 	t := n.table(r.Head.Pred)
 	if len(t.Keys) == 0 {
-		return nil, nil // whole-tuple key: cannot name the stale tuple without its value
+		return nil, nil
 	}
+	seedVars := n.net.an.Plans[r].Seeded.SeedVars
 	sub := make(value.Tuple, len(t.Keys))
 	for i, c := range t.Keys {
-		if c == aggIdx {
-			return nil, nil // the aggregate column is part of the key
-		}
-		v, ok := r.Head.Args[c].(ndlog.VarE)
-		if !ok {
-			return nil, nil
-		}
-		val, bound := seed[v.Name]
-		if !bound {
-			return nil, nil
-		}
-		sub[i] = val
+		sub[i] = seed[slices.Index(seedVars, r.Head.Args[c].(ndlog.VarE).Name)]
 	}
 	old, ok := t.DeleteByKey(sub.Key())
 	if !ok {
@@ -743,50 +574,4 @@ func (n *Node) retractAggGroup(r *ndlog.Rule, aggIdx int, seed map[string]value.
 		return nil, nil
 	}
 	return n.lossCandidates(r.Head.Pred, old, 0)
-}
-
-// matchAtom matches a stored tuple against an atom's argument patterns,
-// extending env with bindings for unbound variables. The runtime's joins
-// run through the compiled plans; this interpreted matcher remains for
-// aggSeeds, which matches one tuple against one atom outside any plan.
-func matchAtom(atom *ndlog.Atom, tup value.Tuple, env map[string]value.V) ([]string, bool, error) {
-	if len(tup) != len(atom.Args) {
-		return nil, false, fmt.Errorf("dist: %s arity mismatch", atom.Pred)
-	}
-	var bound []string
-	fail := func() ([]string, bool, error) {
-		for _, name := range bound {
-			delete(env, name)
-		}
-		return nil, false, nil
-	}
-	for i, arg := range atom.Args {
-		switch x := arg.(type) {
-		case ndlog.VarE:
-			if v, ok := env[x.Name]; ok {
-				if !v.Equal(tup[i]) {
-					return fail()
-				}
-			} else {
-				env[x.Name] = tup[i]
-				bound = append(bound, x.Name)
-			}
-		case ndlog.LitE:
-			if !x.Val.Equal(tup[i]) {
-				return fail()
-			}
-		default:
-			v, err := ndlog.EvalExpr(arg, env)
-			if err != nil {
-				for _, name := range bound {
-					delete(env, name)
-				}
-				return nil, false, err
-			}
-			if !v.Equal(tup[i]) {
-				return fail()
-			}
-		}
-	}
-	return bound, true, nil
 }

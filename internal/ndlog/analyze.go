@@ -532,3 +532,46 @@ func EvalExpr(e Expr, env map[string]value.V) (value.V, error) {
 	}
 	return value.V{}, fmt.Errorf("ndlog: unknown expression")
 }
+
+// MatchAtom unifies the stored tuple tup with atom's argument pattern,
+// extending env. Arguments are taken in column order: an unbound variable
+// binds to its column (a repeated one must then agree), a bound variable
+// or a literal must equal its column, and a computed argument must equal
+// its value under the bindings made so far. A computed argument that
+// cannot be evaluated (it reads a variable nothing has bound) fails the
+// match unless wild is set, in which case it matches any value. MatchAtom
+// returns the names it bound, for a backtracking caller to unbind; a
+// failed match unbinds them itself, leaving env as it found it.
+func MatchAtom(atom *Atom, tup value.Tuple, env map[string]value.V, wild bool) ([]string, bool) {
+	if len(tup) != len(atom.Args) {
+		return nil, false
+	}
+	var bound []string
+	for i, arg := range atom.Args {
+		ok := true
+		switch x := arg.(type) {
+		case VarE:
+			if v, has := env[x.Name]; has {
+				ok = v.Equal(tup[i])
+			} else {
+				if bound == nil {
+					bound = make([]string, 0, len(atom.Args)-i)
+				}
+				env[x.Name] = tup[i]
+				bound = append(bound, x.Name)
+			}
+		case LitE:
+			ok = x.Val.Equal(tup[i])
+		default:
+			v, err := EvalExpr(arg, env)
+			ok = (err != nil && wild) || (err == nil && v.Equal(tup[i]))
+		}
+		if !ok {
+			for _, name := range bound {
+				delete(env, name)
+			}
+			return nil, false
+		}
+	}
+	return bound, true
+}

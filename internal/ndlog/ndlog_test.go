@@ -415,3 +415,102 @@ func TestProgramAccessors(t *testing.T) {
 		t.Error("MaterializedPred found ghost declaration")
 	}
 }
+
+func TestMatchAtom(t *testing.T) {
+	X, Y := VarE{Name: "X"}, VarE{Name: "Y"}
+	lit := func(i int64) Expr { return LitE{Val: value.Int(i)} }
+	plus1 := func(v VarE) Expr { return BinE{Op: "+", L: v, R: lit(1)} }
+	tup := func(is ...int64) value.Tuple {
+		out := make(value.Tuple, len(is))
+		for i, x := range is {
+			out[i] = value.Int(x)
+		}
+		return out
+	}
+	cases := []struct {
+		name  string
+		args  []Expr
+		tup   value.Tuple
+		env   map[string]value.V // bindings before the match
+		wild  bool
+		ok    bool
+		bound string // names MatchAtom bound, comma-joined
+	}{
+		{"binds variables", []Expr{X, Y}, tup(1, 2), nil, false, true, "X,Y"},
+		{"repeated variable agrees", []Expr{X, X}, tup(1, 1), nil, false, true, "X"},
+		{"repeated variable conflicts", []Expr{X, X}, tup(1, 2), nil, false, false, ""},
+		{"bound variable conflicts", []Expr{Y, X}, tup(1, 2), map[string]value.V{"X": value.Int(3)}, false, false, ""},
+		{"literal matches", []Expr{X, lit(7)}, tup(1, 7), nil, false, true, "X"},
+		{"literal mismatch", []Expr{X, lit(7)}, tup(1, 8), nil, false, false, ""},
+		{"computed argument matches", []Expr{X, plus1(X)}, tup(1, 2), nil, false, true, "X"},
+		{"computed argument mismatch", []Expr{X, plus1(X)}, tup(1, 3), nil, false, false, ""},
+		{"computed argument mismatch, wild", []Expr{X, plus1(X)}, tup(1, 3), nil, true, false, ""},
+		{"unevaluable computed argument fails", []Expr{X, plus1(Y)}, tup(1, 2), nil, false, false, ""},
+		{"unevaluable computed argument, wild", []Expr{X, plus1(Y)}, tup(1, 2), nil, true, true, "X"},
+		{"arity mismatch", []Expr{X}, tup(1, 2), nil, true, false, ""},
+	}
+	for _, tc := range cases {
+		env := map[string]value.V{}
+		for k, v := range tc.env {
+			env[k] = v
+		}
+		bound, ok := MatchAtom(&Atom{Pred: "p", Args: tc.args}, tc.tup, env, tc.wild)
+		if ok != tc.ok || strings.Join(bound, ",") != tc.bound {
+			t.Errorf("%s: got ok=%v bound=%v, want ok=%v bound=%s", tc.name, ok, bound, tc.ok, tc.bound)
+		}
+		// A failed match leaves env exactly as it was; a successful one
+		// adds exactly the bound names.
+		if len(env) != len(tc.env)+len(bound) {
+			t.Errorf("%s: env %v after match (before %v, bound %v)", tc.name, env, tc.env, bound)
+		}
+		for k, v := range tc.env {
+			if !env[k].Equal(v) {
+				t.Errorf("%s: pre-bound %s changed to %v", tc.name, k, env[k])
+			}
+		}
+	}
+}
+
+func TestAggGroups(t *testing.T) {
+	an, err := Analyze(MustParse("agg", `
+r1 b(@N,min<C>) :- x(@N,Y), y(@N,Y+1,C).
+r2 c(@N,Z,min<C>) :- x(@N,Z), y(@N,Y,C).
+r3 d(@N,min<C>) :- y(@N,1+1,C).
+r4 e(@N,min<C>) :- y(@N,A,C), y(@N,C,A).
+r5 f(@N,min<C>) :- x(@N,C), y(@N,C,A).
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n0 := value.Addr("n0")
+	y := func(a, b int64) value.Tuple { return value.Tuple{n0, value.Int(a), value.Int(b)} }
+	plans := func(label string) *RulePlans {
+		r, _ := an.Prog.RuleByLabel(label)
+		return an.Plans[r]
+	}
+	cases := []struct {
+		name string
+		rule string
+		tup  value.Tuple
+		keep func(value.Tuple, map[string]value.V) bool
+		keys string // Key() of each group, space-separated
+		all  bool
+	}{
+		{"unevaluable computed argument is a wildcard", "r1", y(2, 5), nil, "a2:n0", false},
+		{"unbound seed variable recomputes all", "r2", y(2, 5), nil, "", true},
+		{"evaluable computed argument mismatch", "r3", y(3, 5), nil, "", false},
+		{"evaluable computed argument match", "r3", y(2, 5), nil, "a2:n0", false},
+		{"groups deduplicated", "r4", y(1, 1), nil, "a2:n0", false},
+		{"keep vetoes a match", "r5", y(1, 2), func(key value.Tuple, env map[string]value.V) bool { return env["A"].I != 2 }, "", false},
+	}
+	for _, tc := range cases {
+		keys, all := plans(tc.rule).AggGroups("y", tc.tup, tc.keep)
+		var got []string
+		for _, k := range keys {
+			got = append(got, k.Key())
+		}
+		if strings.Join(got, " ") != tc.keys || all != tc.all {
+			t.Errorf("%s: keys %v all=%v, want %q all=%v", tc.name, got, all, tc.keys, tc.all)
+		}
+	}
+}

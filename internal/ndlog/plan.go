@@ -2,6 +2,7 @@ package ndlog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -349,6 +350,44 @@ func aggGroupVars(r *Rule) ([]string, bool) {
 		}
 	}
 	return vars, true
+}
+
+// AggGroups answers which groups of an aggregate rule a change to
+// pred(tup) touches. Every body atom of pred, positive or negated, is
+// matched against tup alone (MatchAtom in wild mode: a computed argument
+// the atom's own bindings cannot evaluate is a wildcard, one they can
+// evaluate must agree). A match that binds all of the Seeded plan's
+// SeedVars names one group, keyed by those values in SeedVars order;
+// keep, when non-nil, may drop it (it sees the key and the match's
+// bindings). Keys come back deduplicated, in first-seen order. all
+// reports a match that cannot name its group — the rule has no Seeded
+// plan, or the atom leaves a seed variable unbound — so every group must
+// be recomputed.
+func (rp *RulePlans) AggGroups(pred string, tup value.Tuple, keep func(key value.Tuple, env map[string]value.V) bool) (keys []value.Tuple, all bool) {
+	for _, l := range rp.Full.Rule.Body {
+		if l.Atom == nil || l.Atom.Pred != pred {
+			continue
+		}
+		env := map[string]value.V{}
+		if _, ok := MatchAtom(l.Atom, tup, env, true); !ok {
+			continue
+		}
+		if rp.Seeded == nil {
+			return nil, true
+		}
+		key := make(value.Tuple, len(rp.Seeded.SeedVars))
+		for i, v := range rp.Seeded.SeedVars {
+			val, ok := env[v]
+			if !ok {
+				return nil, true
+			}
+			key[i] = val
+		}
+		if (keep == nil || keep(key, env)) && !slices.ContainsFunc(keys, key.Equal) {
+			keys = append(keys, key)
+		}
+	}
+	return keys, false
 }
 
 // planRule compiles one plan variant. deltaIdx < 0 compiles the full

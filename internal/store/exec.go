@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ndlog"
+	"repro/internal/prov"
 	"repro/internal/value"
 )
 
@@ -124,6 +125,22 @@ func (x *Exec) Env() *ndlog.EvalEnv { return &x.env }
 // for scan/delta steps (Plan.AntSteps); provenance recorders use it to
 // resolve a firing's antecedent tuples.
 func (x *Exec) CurTuple(i int) value.Tuple { return x.cur[i] }
+
+// Antecedents resolves the antecedents of the frame being emitted: for
+// each scan and delta step, the live provenance id at node of the tuple
+// the step bound. Tuples with no recorded version (externally populated
+// tables) are skipped. The ids are written into *buf, reusing its
+// capacity; valid only inside an emit callback.
+func (x *Exec) Antecedents(rec *prov.Recorder, node string, buf *[]prov.ID) []prov.ID {
+	ants := (*buf)[:0]
+	for _, si := range x.Plan.AntSteps {
+		if id := rec.Current(node, x.Plan.Steps[si].Pred, x.cur[si]); id != 0 {
+			ants = append(ants, id)
+		}
+	}
+	*buf = ants
+	return ants
+}
 
 func (x *Exec) index(i int, t *Table, cols []int) *Index {
 	m := x.idx[i]

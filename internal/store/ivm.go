@@ -103,26 +103,30 @@ func (f *FrameSet) Seen(p *ndlog.Plan, frame []value.V) bool {
 }
 
 // Rederivable is the DRed re-derivation check: it reports whether head
-// can still be derived by the rule compiled into plan (a HeadSeeded
-// variant) against the current contents of ts. seedCols are the plan's
-// HeadSeedCols; run must be an executor for plan. The scan stops at the
-// first witness.
-func Rederivable(run *Exec, ts TableSource, plan *ndlog.Plan, seedCols []int, head value.Tuple) (bool, error) {
+// can still be derived, against the current contents of ts, by the rule
+// whose HeadSeeded plan x runs. seedCols are the plan's HeadSeedCols. The
+// scan stops at the first witness; witness, when non-nil, is called from
+// inside the emit callback while that frame is bound (so it can read the
+// firing's Antecedents). The probe count is x.Probes().
+func Rederivable(x *Exec, ts TableSource, seedCols []int, head value.Tuple, witness func()) (bool, error) {
 	seed := make([]value.V, len(seedCols))
 	for i, c := range seedCols {
 		seed[i] = head[c]
 	}
 	buf := make(value.Tuple, len(head))
 	found := false
-	_, err := run.Run(ts, nil, seed, func(frame []value.V) error {
-		if err := plan.BuildHead(run.Env(), buf); err != nil {
+	_, err := x.Run(ts, nil, seed, func([]value.V) error {
+		if err := x.Plan.BuildHead(x.Env(), buf); err != nil {
 			return err
 		}
-		if buf.Equal(head) {
-			found = true
-			return ErrStop
+		if !buf.Equal(head) {
+			return nil
 		}
-		return nil
+		found = true
+		if witness != nil {
+			witness()
+		}
+		return ErrStop
 	})
 	if err != nil && !errors.Is(err, ErrStop) {
 		return false, err
