@@ -40,11 +40,14 @@ scale-smoke:
 	$(GO) test -count=1 -run 'TestScaleISP10k|TestFatTreeConverges' -v -timeout 10m ./internal/dist/
 
 # The oracle tests under the race detector: the engine against dist on
-# generated programs, dist against the centralized spec, crash/restart
-# against a fault-free run, incremental churn against recomputation, and
-# the aggregate programs both evaluators must agree on.
+# generated programs (facts at t=0, and negated facts arriving late), dist
+# against the centralized spec, crash/restart against a fault-free run,
+# incremental churn against recomputation, and the programs both
+# evaluators must agree on; then the engine's own incremental-vs-fresh
+# oracles.
 differential:
-	$(GO) test -race -count=1 -run '^(TestEngineDistAgreeOnRandomPrograms|TestDistributedEquivalentToCentralizedQuick|TestGeneratedProgramsSurviveCrashRestart|TestIncrementalChurnMatchesRecomputeOnRandomPrograms|TestAggregatesMatchEngine)$$' -v ./internal/dist/
+	$(GO) test -race -count=1 -run '^(TestEngineDistAgreeOnRandomPrograms|TestEngineDistAgreeWithLateNegation|TestDistributedEquivalentToCentralizedQuick|TestGeneratedProgramsSurviveCrashRestart|TestIncrementalChurnMatchesRecomputeOnRandomPrograms|TestDistMatchesEngine)$$' -v ./internal/dist/
+	$(GO) test -race -count=1 -run '^(TestUpdateMatchesFreshRun|TestUpdateNegationAndAggregates|TestDifferentialRandomTopologies|TestPathVectorDeletionStaysIncremental)$$' -v ./internal/datalog/
 
 # The benchmark harness is its own module (fvnbench/go.mod): its tests
 # (negative controls, metric-name pins) do not run under go test ./...

@@ -397,7 +397,7 @@ func cmdRun(args []string) error {
 	topoSpec := fs.String("topo", "ring:4", "topology spec, e.g. ring:5")
 	pred := fs.String("pred", "", "predicate to dump after the run")
 	maxTime := fs.Float64("maxtime", 10000, "simulated time bound")
-	loss := fs.Float64("loss", 0, "message loss rate")
+	loss := fs.Float64("loss", 0, "message loss rate of the default fault channel (a fault plan's non-zero default or per-link channel replaces it, as for -dup)")
 	dup := fs.Float64("dup", 0, "message duplication rate")
 	jitter := fs.Float64("delay-jitter", 0, "max extra per-message delay (uniform)")
 	planPath := fs.String("fault-plan", "", "apply a declarative fault plan (JSON file)")

@@ -45,14 +45,6 @@ type chg struct {
 	reason string  // delete: retraction reason
 }
 
-// deltaReader lists the body positions at which one rule reads a
-// predicate (all positive, or all negated — a rule reading a predicate
-// both ways appears once in each reader list).
-type deltaReader struct {
-	r    *ndlog.Rule
-	idxs []int
-}
-
 // aggDirt accumulates the groups of one aggregate rule invalidated by the
 // current update (all=true: recompute every group).
 type aggDirt struct {
@@ -63,16 +55,12 @@ type aggDirt struct {
 // ivmState is the engine's incremental-maintenance machinery, built
 // lazily on first Update.
 type ivmState struct {
-	static   bool   // reverse indexes built
+	static   bool   // predicate classes built
 	ready    bool   // support counts + aggregate outputs match the fixpoint
 	fallback string // non-empty: program shape forces full recomputation
 
 	kind       map[string]predKind
-	readers    map[string][]deltaReader // positive body occurrences
-	negReaders map[string][]deltaReader // negated body occurrences
-	aggReaders map[string][]*ndlog.Rule // aggregate rules by body pred
-	aggStratum [][]*ndlog.Rule          // aggregate rules by head stratum
-	headRules  map[string][]*ndlog.Rule // plain rules by head pred (re-derivation)
+	aggStratum [][]*ndlog.Rule // aggregate rules by head stratum
 
 	// Change queue, one FIFO per stratum, drained lowest stratum first.
 	queue [][]chg
@@ -85,12 +73,12 @@ type ivmState struct {
 	aggDirty map[*ndlog.Rule]*aggDirt
 	aggOut   map[*ndlog.Rule]map[string]store.AggGroup // by aggKey
 
-	frames   store.FrameSet
-	deltaBuf [1]value.Tuple
+	delta store.DeltaPass
 }
 
-// ivmStatic builds the change-propagation indexes once per engine and
-// decides whether the program shape supports incremental maintenance.
+// ivmStatic classifies the predicates once per engine and decides
+// whether the program shape supports incremental maintenance. Which
+// rules a change reaches comes from the analysis (ndlog.Readers).
 func (e *Engine) ivmStatic() *ivmState {
 	s := &e.ivm
 	if s.static {
@@ -100,68 +88,29 @@ func (e *Engine) ivmStatic() *ivmState {
 	an := e.An
 	ns := len(an.Strata)
 
-	// recPred marks predicates lying on a positive derived-dependency
-	// cycle. This is the per-predicate refinement of RecStrata: a stratum
-	// can hold an acyclic aggregate next to (or downstream of) a recursive
-	// relation — path-vector's bestPathCost is the canonical case — and
-	// only a cycle through the head itself gives a tuple unboundedly many
-	// derivation trees.
-	dep := map[string]map[string]bool{}
-	for _, r := range an.Prog.Rules {
-		if r.Delete {
-			continue
-		}
-		for _, l := range r.Body {
-			if l.Atom == nil || l.Neg || !an.Derived[l.Atom.Pred] {
-				continue
-			}
-			if dep[r.Head.Pred] == nil {
-				dep[r.Head.Pred] = map[string]bool{}
-			}
-			dep[r.Head.Pred][l.Atom.Pred] = true
-		}
-	}
-	recPred := map[string]bool{}
-	for pred := range dep {
-		seen := map[string]bool{}
-		stack := make([]string, 0, len(dep[pred]))
-		for next := range dep[pred] {
-			stack = append(stack, next)
-		}
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if cur == pred {
-				recPred[pred] = true
-				break
-			}
-			if seen[cur] {
-				continue
-			}
-			seen[cur] = true
-			for next := range dep[cur] {
-				stack = append(stack, next)
-			}
-		}
-	}
-
-	headRules := map[string]int{}
+	// Per-predicate recursion (Readers.Rec) picks DRed over counting, and
+	// an aggregate head on a cycle has no incremental discipline.
+	rec := an.Readers.Rec
+	heads := map[string]int{}
 	aggRules := map[string]int{}
+	s.aggStratum = make([][]*ndlog.Rule, ns)
 	for _, r := range an.Prog.Rules {
 		if r.Delete {
 			s.fallback = "program has delete rules"
 			continue
 		}
-		headRules[r.Head.Pred]++
+		heads[r.Head.Pred]++
 		if _, aggIdx := r.Head.HeadAgg(); aggIdx >= 0 {
 			aggRules[r.Head.Pred]++
-			if recPred[r.Head.Pred] {
+			st := an.StratumOf[r.Head.Pred]
+			s.aggStratum[st] = append(s.aggStratum[st], r)
+			if rec[r.Head.Pred] {
 				s.fallback = "aggregate head in a recursive cycle"
 			}
 		}
 	}
 	for pred, n := range aggRules {
-		if n > 1 || headRules[pred] > n {
+		if n > 1 || heads[pred] > n {
 			s.fallback = "aggregated predicate derived by multiple rules"
 		}
 	}
@@ -173,54 +122,10 @@ func (e *Engine) ivmStatic() *ivmState {
 			s.kind[pred] = kBase
 		case aggRules[pred] > 0:
 			s.kind[pred] = kAgg
-		case recPred[pred]:
+		case rec[pred]:
 			s.kind[pred] = kRecursive
 		default:
 			s.kind[pred] = kCounting
-		}
-	}
-
-	s.readers = map[string][]deltaReader{}
-	s.negReaders = map[string][]deltaReader{}
-	s.aggReaders = map[string][]*ndlog.Rule{}
-	s.aggStratum = make([][]*ndlog.Rule, ns)
-	s.headRules = map[string][]*ndlog.Rule{}
-	for _, r := range an.Prog.Rules {
-		if r.Delete {
-			continue
-		}
-		_, aggIdx := r.Head.HeadAgg()
-		if aggIdx >= 0 {
-			st := an.StratumOf[r.Head.Pred]
-			s.aggStratum[st] = append(s.aggStratum[st], r)
-			for _, l := range r.Body {
-				if l.Atom != nil && !slices.Contains(s.aggReaders[l.Atom.Pred], r) {
-					s.aggReaders[l.Atom.Pred] = append(s.aggReaders[l.Atom.Pred], r)
-				}
-			}
-			continue
-		}
-		s.headRules[r.Head.Pred] = append(s.headRules[r.Head.Pred], r)
-		pos, neg := map[string][]int{}, map[string][]int{}
-		var posOrder, negOrder []string
-		for i, l := range r.Body {
-			if l.Atom == nil {
-				continue
-			}
-			m, order := pos, &posOrder
-			if l.Neg {
-				m, order = neg, &negOrder
-			}
-			if _, ok := m[l.Atom.Pred]; !ok {
-				*order = append(*order, l.Atom.Pred)
-			}
-			m[l.Atom.Pred] = append(m[l.Atom.Pred], i)
-		}
-		for _, pred := range posOrder {
-			s.readers[pred] = append(s.readers[pred], deltaReader{r: r, idxs: pos[pred]})
-		}
-		for _, pred := range negOrder {
-			s.negReaders[pred] = append(s.negReaders[pred], deltaReader{r: r, idxs: neg[pred]})
 		}
 	}
 
@@ -427,12 +332,12 @@ func (e *Engine) applyChange(c *evalCtx, ch chg) error {
 		if k == kCounting && rel.SupportCount(ch.Tup) != 0 {
 			return nil
 		}
-		if err := e.runReaders(c, e.ivm.readers[ch.Pred], ch.Tup, true); err != nil {
+		if err := e.runReaders(c, e.An.Readers.Pos[ch.Pred], ch.Tup, true); err != nil {
 			return err
 		}
 		rel.Delete(ch.Tup)
 		e.prov.Retract(0, "", ch.Pred, ch.Tup, ch.reason, 0)
-		if err := e.runReaders(c, e.ivm.negReaders[ch.Pred], ch.Tup, false); err != nil {
+		if err := e.runReaders(c, e.An.Readers.Neg[ch.Pred], ch.Tup, false); err != nil {
 			return err
 		}
 		e.markAggDirty(ch.Pred, ch.Tup, ch.Del)
@@ -444,7 +349,7 @@ func (e *Engine) applyChange(c *evalCtx, ch chg) error {
 	if k == kCounting && rel.SupportCount(ch.Tup) == 0 {
 		return nil
 	}
-	if err := e.runReaders(c, e.ivm.negReaders[ch.Pred], ch.Tup, true); err != nil {
+	if err := e.runReaders(c, e.An.Readers.Neg[ch.Pred], ch.Tup, true); err != nil {
 		return err
 	}
 	if _, err := rel.Insert(ch.Tup); err != nil {
@@ -452,45 +357,27 @@ func (e *Engine) applyChange(c *evalCtx, ch chg) error {
 	}
 	c.stats.NewTuples++
 	e.prov.Tuple(0, "", ch.Pred, ch.Tup, ch.cause)
-	if err := e.runReaders(c, e.ivm.readers[ch.Pred], ch.Tup, false); err != nil {
+	if err := e.runReaders(c, e.An.Readers.Pos[ch.Pred], ch.Tup, false); err != nil {
 		return err
 	}
 	e.markAggDirty(ch.Pred, ch.Tup, ch.Del)
 	return nil
 }
 
-// runReaders evaluates the delta plans of every plain rule reading the
-// changed tuple at the listed positions and routes each derived head to
-// its maintenance effect. Frames are deduplicated across a rule's plan
-// variants so a self-join counts each derivation once.
-func (e *Engine) runReaders(c *evalCtx, rds []deltaReader, tup value.Tuple, loss bool) error {
-	s := &e.ivm
-	s.deltaBuf[0] = tup
+// runReaders runs the shared delta pass (store.DeltaPass) of every
+// plain reader of the changed tuple and routes each derived head to its
+// maintenance effect.
+func (e *Engine) runReaders(c *evalCtx, rds []ndlog.Reader, tup value.Tuple, loss bool) error {
+	exec := func(p *ndlog.Plan) *store.Exec { return e.exec(c, p) }
 	for _, rd := range rds {
-		rp := e.An.Plans[rd.r]
-		s.frames.Reset()
-		for _, i := range rd.idxs {
-			plan := rp.Delta[i]
-			if rd.r.Body[i].Neg {
-				plan = rp.NegDelta[i]
-			}
-			x := e.exec(c, plan)
-			probes, err := x.Run(e, s.deltaBuf[:], nil, func(frame []value.V) error {
-				if len(rd.idxs) > 1 && s.frames.Seen(plan, frame) {
-					return nil
-				}
-				head := make(value.Tuple, len(plan.HeadExprs))
-				if err := plan.BuildHead(x.Env(), head); err != nil {
-					return fmt.Errorf("datalog: head of %s: %w", rd.r.Head.Pred, err)
-				}
-				c.stats.Derivations++
-				e.headEffect(rd.r, x, head, loss)
-				return nil
-			})
-			c.stats.JoinProbes += int(probes)
-			if err != nil {
-				return err
-			}
+		probes, err := e.ivm.delta.Run(e, rd, e.An.Plans[rd.Rule], exec, tup, func(x *store.Exec, head value.Tuple) error {
+			c.stats.Derivations++
+			e.headEffect(rd.Rule, x, head, loss)
+			return nil
+		})
+		c.stats.JoinProbes += int(probes)
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -546,12 +433,12 @@ func (e *Engine) resolveRec(c *evalCtx, st int) error {
 		if !rel.Contains(ch.Tup) {
 			continue
 		}
-		if err := e.runReaders(c, s.readers[ch.Pred], ch.Tup, true); err != nil {
+		if err := e.runReaders(c, e.An.Readers.Pos[ch.Pred], ch.Tup, true); err != nil {
 			return err
 		}
 		rel.Delete(ch.Tup)
 		e.prov.Retract(0, "", ch.Pred, ch.Tup, "overdelete", 0)
-		if err := e.runReaders(c, s.negReaders[ch.Pred], ch.Tup, false); err != nil {
+		if err := e.runReaders(c, e.An.Readers.Neg[ch.Pred], ch.Tup, false); err != nil {
 			return err
 		}
 		e.markAggDirty(ch.Pred, ch.Tup, ch.Del)
@@ -563,7 +450,7 @@ func (e *Engine) resolveRec(c *evalCtx, st int) error {
 		if e.rels[ch.Pred].Contains(ch.Tup) {
 			continue
 		}
-		for _, r := range s.headRules[ch.Pred] {
+		for _, r := range e.An.Readers.Head[ch.Pred] {
 			rp := e.An.Plans[r]
 			x := e.exec(c, rp.HeadSeeded)
 			var witness func() // keeps the witnessing firing's antecedents
@@ -599,7 +486,7 @@ func (e *Engine) resolveRec(c *evalCtx, st int) error {
 // pruned without recompute — the bulk of a deletion cascade's touched
 // groups.
 func (e *Engine) markAggDirty(pred string, tup value.Tuple, loss bool) {
-	for _, r := range e.ivm.aggReaders[pred] {
+	for _, r := range e.An.Readers.Agg[pred] {
 		d := e.ivm.aggDirty[r]
 		if d != nil && d.all {
 			continue

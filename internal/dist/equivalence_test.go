@@ -107,6 +107,12 @@ var genBlocks = []ruleBlock{
 		preds: []string{"nq"},
 	},
 	{
+		name:  "negcount",
+		decls: "materialize(ncnt, infinity, infinity, keys(1)).\n",
+		rules: "c2 ncnt(@A,count<X>) :- e(@A,X,C), !q(@A,X).\n",
+		preds: []string{"ncnt"},
+	},
+	{
 		name:  "reach",
 		decls: "materialize(reach, infinity, infinity, keys(1,2,3)).\n",
 		rules: "t1 reach(@A,X,Y) :- g(@A,X,Y).\nt2 reach(@A,X,Z) :- reach(@A,X,Y), g(@A,Y,Z).\n",
@@ -139,7 +145,7 @@ var genBlocks = []ruleBlock{
 	},
 	// Delete-heavy stratified fragments. The pipelined runtime applies a
 	// delete-rule firing immediately after the insert firing from the same
-	// delta (triggers run in declaration order), so these stay equivalent
+	// delta (readers run in declaration order), so these stay equivalent
 	// to the engine — which runs deletes after the stratum's fixpoint —
 	// as long as every delta that can insert a tuple also fires the delete
 	// rule that retracts it. Both blocks keep that superset-body shape and
@@ -160,10 +166,27 @@ var genBlocks = []ruleBlock{
 	},
 }
 
-// genProgram builds a random single-node program: a subset of the rule
-// pool (all of it for seed 0) plus random base facts. It returns the
-// program source and the derived predicates to compare.
+// genProgram builds a random single-node program: a subset of the whole
+// rule pool (all of it for seed 0) plus random base facts. It returns
+// the program source and the derived predicates to compare.
 func genProgram(seed uint64) (string, []string) {
+	return genFromPool(seed, genBlocks, true)
+}
+
+// noDeleteBlocks is genBlocks without the delete-rule blocks.
+func noDeleteBlocks() []ruleBlock {
+	pool := make([]ruleBlock, 0, len(genBlocks))
+	for _, bl := range genBlocks {
+		if !strings.Contains(bl.rules, "delete ") {
+			pool = append(pool, bl)
+		}
+	}
+	return pool
+}
+
+// genFromPool builds a random single-node program from a subset of pool
+// (all of it for seed 0), plus random base facts when facts is set.
+func genFromPool(seed uint64, pool []ruleBlock, facts bool) (string, []string) {
 	state := seed*2862933555777941757 + 3037000493
 	next := func(n uint64) uint64 {
 		state = state*6364136223846793005 + 1442695040888963407
@@ -171,15 +194,15 @@ func genProgram(seed uint64) (string, []string) {
 	}
 
 	include := map[string]bool{}
-	for _, bl := range genBlocks {
+	for _, bl := range pool {
 		if seed == 0 || next(2) == 0 {
 			include[bl.name] = true
 		}
 	}
 	if len(include) == 0 {
-		include[genBlocks[int(next(uint64(len(genBlocks))))].name] = true
+		include[pool[int(next(uint64(len(pool))))].name] = true
 	}
-	for _, bl := range genBlocks {
+	for _, bl := range pool {
 		if include[bl.name] {
 			for _, dep := range bl.needs {
 				include[dep] = true
@@ -192,13 +215,16 @@ func genProgram(seed uint64) (string, []string) {
 	b.WriteString("materialize(q, infinity, infinity, keys(1,2)).\n")
 	b.WriteString("materialize(g, infinity, infinity, keys(1,2,3)).\n")
 	var preds []string
-	for _, bl := range genBlocks {
+	for _, bl := range pool {
 		if !include[bl.name] {
 			continue
 		}
 		b.WriteString(bl.decls)
 		b.WriteString(bl.rules)
 		preds = append(preds, bl.preds...)
+	}
+	if !facts {
+		return b.String(), preds
 	}
 	// Base facts. e: weighted items; q: a random subset of item ids;
 	// g: a small random graph over ints (recursion input).
@@ -222,52 +248,85 @@ func genProgram(seed uint64) (string, []string) {
 // property test: for generated programs covering joins, negation,
 // recursion, and every aggregate, the centralized stratified engine and a
 // single-node distributed (pipelined) run must reach the same fixpoint.
-// Negated predicates are base tables only and all facts arrive in the
-// t=0 batch, so the pipelined evaluation never derives through a negation
-// that later becomes false — the generated programs stay within the
-// fragment where both semantics provably coincide.
+// Negated predicates are base tables only. Here all facts arrive in the
+// t=0 batch; TestEngineDistAgreeWithLateNegation delivers the negated
+// facts late.
 func TestEngineDistAgreeOnRandomPrograms(t *testing.T) {
-	topo := netgraph.Line(1)
 	for seed := uint64(0); seed < 25; seed++ {
 		src, preds := genProgram(seed)
-		prog := "gen" + fmt.Sprint(seed)
+		engineDistAgree(t, seed, src, preds, 0)
+	}
+}
 
-		eng, err := datalog.New(ndlog.MustParse(prog, src))
-		if err != nil {
-			t.Fatalf("seed %d: engine: %v\n%s", seed, err, src)
-		}
-		if err := eng.Run(); err != nil {
-			t.Fatalf("seed %d: engine run: %v\n%s", seed, err, src)
-		}
+// TestEngineDistAgreeWithLateNegation is the random-program oracle with
+// the negated base facts (q) arriving at t=5, after everything they
+// block was derived: each q insert must retract what it kills, through
+// the negated readers of the shared delta pass. The pool leaves out the
+// delete blocks, whose pipelined semantics hold only for facts that
+// arrive together.
+func TestEngineDistAgreeWithLateNegation(t *testing.T) {
+	pool := noDeleteBlocks()
+	for seed := uint64(0); seed < 25; seed++ {
+		src, preds := genFromPool(seed, pool, true)
+		engineDistAgree(t, seed, src, preds, 5)
+	}
+}
 
-		net, err := NewNetwork(ndlog.MustParse(prog, src), topo, Options{
-			MaxTime: 10_000, Seed: seed,
-		})
-		if err != nil {
-			t.Fatalf("seed %d: dist: %v\n%s", seed, err, src)
-		}
-		res, err := net.Run()
-		if err != nil {
-			t.Fatalf("seed %d: dist run: %v\n%s", seed, err, src)
-		}
-		if !res.Converged {
-			t.Fatalf("seed %d: dist did not converge\n%s", seed, src)
-		}
+// engineDistAgree runs src on the engine and on a single-node network
+// and compares preds. qAt > 0 withholds the program's q facts from the
+// network's t=0 batch and injects them at qAt instead.
+func engineDistAgree(t *testing.T, seed uint64, src string, preds []string, qAt float64) {
+	t.Helper()
+	prog := "gen" + fmt.Sprint(seed)
+	eng, err := datalog.New(ndlog.MustParse(prog, src))
+	if err != nil {
+		t.Fatalf("seed %d: engine: %v\n%s", seed, err, src)
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatalf("seed %d: engine run: %v\n%s", seed, err, src)
+	}
 
-		for _, pred := range preds {
-			want := eng.Query(pred)
-			got := net.Query("n0", pred)
-			if len(want) != len(got) {
-				t.Errorf("seed %d: %s sizes differ: engine %d, dist %d\nengine: %v\ndist:   %v\nprogram:\n%s",
-					seed, pred, len(want), len(got), want, got, src)
-				continue
+	p := ndlog.MustParse(prog, src)
+	var late []ndlog.Fact
+	if qAt > 0 {
+		kept := p.Facts[:0]
+		for _, f := range p.Facts {
+			if f.Pred == "q" {
+				late = append(late, f)
+			} else {
+				kept = append(kept, f)
 			}
-			for i := range want {
-				if !want[i].Equal(got[i]) {
-					t.Errorf("seed %d: %s[%d]: engine %v, dist %v\nprogram:\n%s",
-						seed, pred, i, want[i], got[i], src)
-					break
-				}
+		}
+		p.Facts = kept
+	}
+	net, err := NewNetwork(p, netgraph.Line(1), Options{MaxTime: 10_000, Seed: seed})
+	if err != nil {
+		t.Fatalf("seed %d: dist: %v\n%s", seed, err, src)
+	}
+	for _, f := range late {
+		net.Inject(qAt, "n0", f.Pred, f.Args)
+	}
+	res, err := net.Run()
+	if err != nil {
+		t.Fatalf("seed %d: dist run: %v\n%s", seed, err, src)
+	}
+	if !res.Converged {
+		t.Fatalf("seed %d: dist did not converge\n%s", seed, src)
+	}
+
+	for _, pred := range preds {
+		want := eng.Query(pred)
+		got := net.Query("n0", pred)
+		if len(want) != len(got) {
+			t.Errorf("seed %d: %s sizes differ: engine %d, dist %d\nengine: %v\ndist:   %v\nprogram:\n%s",
+				seed, pred, len(want), len(got), want, got, src)
+			continue
+		}
+		for i := range want {
+			if !want[i].Equal(got[i]) {
+				t.Errorf("seed %d: %s[%d]: engine %v, dist %v\nprogram:\n%s",
+					seed, pred, i, want[i], got[i], src)
+				break
 			}
 		}
 	}
@@ -416,46 +475,7 @@ func TestReliableCrashRestartMatchesFaultFreeOracleQuick(t *testing.T) {
 // full-recompute fallback, which would make the differential vacuous):
 // joins, safe negation, monotone recursion, and every aggregate kind.
 func genChurnProgram(seed uint64) (string, []string) {
-	state := seed*2862933555777941757 + 3037000493
-	next := func(n uint64) uint64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return (state >> 33) % n
-	}
-	pool := make([]ruleBlock, 0, len(genBlocks))
-	for _, bl := range genBlocks {
-		if !strings.Contains(bl.rules, "delete ") {
-			pool = append(pool, bl)
-		}
-	}
-	include := map[string]bool{}
-	for _, bl := range pool {
-		if seed == 0 || next(2) == 0 {
-			include[bl.name] = true
-		}
-	}
-	if len(include) == 0 {
-		include[pool[int(next(uint64(len(pool))))].name] = true
-	}
-	for _, bl := range pool {
-		if include[bl.name] {
-			for _, dep := range bl.needs {
-				include[dep] = true
-			}
-		}
-	}
-	var b strings.Builder
-	b.WriteString("materialize(e, infinity, infinity, keys(1,2,3)).\n")
-	b.WriteString("materialize(q, infinity, infinity, keys(1,2)).\n")
-	b.WriteString("materialize(g, infinity, infinity, keys(1,2,3)).\n")
-	var preds []string
-	for _, bl := range pool {
-		if include[bl.name] {
-			b.WriteString(bl.decls)
-			b.WriteString(bl.rules)
-			preds = append(preds, bl.preds...)
-		}
-	}
-	return b.String(), preds
+	return genFromPool(seed, noDeleteBlocks(), false)
 }
 
 // TestIncrementalChurnMatchesRecomputeOnRandomPrograms is the PR's

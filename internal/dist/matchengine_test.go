@@ -7,21 +7,28 @@ import (
 	"repro/internal/datalog"
 	"repro/internal/ndlog"
 	"repro/internal/netgraph"
+	"repro/internal/prov"
 	"repro/internal/value"
 )
 
-// TestAggregatesMatchEngine pins aggregate programs on which the
-// distributed runtime must compute what the centralized engine computes:
-// both run the aggregate kernel (store.Aggregate) and the group lookup
+// TestDistMatchesEngine pins programs on which the distributed runtime
+// must compute what the centralized engine computes: both read the
+// reader index of ndlog.Analysis, run the delta pass (store.DeltaPass),
+// the aggregate kernel (store.Aggregate) and the group lookup
 // (ndlog.RulePlans.AggGroups). Each case injects its facts into a
 // single-node network at the given times and compares the final state
 // with an engine run over all of them (or both errors).
-func TestAggregatesMatchEngine(t *testing.T) {
+func TestDistMatchesEngine(t *testing.T) {
 	n0 := value.Addr("n0")
 	type fact struct {
 		at   float64
 		pred string
 		tup  value.Tuple
+	}
+	lateNegFacts := []fact{
+		{1, "e", value.Tuple{n0, value.Int(1), value.Int(5)}},
+		{1, "e", value.Tuple{n0, value.Int(2), value.Int(5)}},
+		{2, "q", value.Tuple{n0, value.Int(1)}},
 	}
 	cases := []struct {
 		name    string
@@ -54,6 +61,22 @@ func TestAggregatesMatchEngine(t *testing.T) {
 m1 emin(@A,X,min<C>) :- e(@A,X,C).`,
 			facts: []fact{{1, "e", value.Tuple{n0, value.Int(1), value.Int(5)}}, {2, "e", value.Tuple{n0, value.Int(1), value.Int(3)}}},
 			pred:  "emin",
+		},
+		{
+			// q(n0,1) arriving after nq(n0,1) was derived kills that
+			// derivation through the negated read.
+			name:  "late negation, plain rule",
+			src:   `n1 nq(@A,X) :- e(@A,X,C), !q(@A,X).`,
+			facts: lateNegFacts,
+			pred:  "nq",
+		},
+		{
+			// The same late q recomputes an aggregate that reads q under
+			// negation.
+			name:  "late negation, aggregate",
+			src:   `c1 cnt(@A,count<X>) :- e(@A,X,C), !q(@A,X).`,
+			facts: lateNegFacts,
+			pred:  "cnt",
 		},
 	}
 	for _, tc := range cases {
@@ -98,6 +121,36 @@ m1 emin(@A,X,min<C>) :- e(@A,X,C).`,
 				}
 			}
 		})
+	}
+}
+
+// TestSelfJoinCountsDerivationOnce: a rule that reads the changed
+// predicate at two body positions sees one derivation from both delta
+// plans; the delta pass deduplicates the frame, so the runtime counts
+// one derivation and records one firing, as the engine does.
+func TestSelfJoinCountsDerivationOnce(t *testing.T) {
+	rec := prov.New()
+	net, err := NewNetwork(ndlog.MustParse("selfjoin", `j1 j(@A,X,Y) :- e(@A,X,C), e(@A,Y,C).`),
+		netgraph.Line(1), Options{MaxTime: 100, Seed: 1, Prov: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Inject(1, "n0", "e", value.Tuple{value.Addr("n0"), value.Int(1), value.Int(5)})
+	res, err := net.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Stats.Derivations; got != 1 {
+		t.Errorf("derivations = %d, want 1", got)
+	}
+	firings := 0
+	for id := prov.ID(1); int(id) <= rec.Len(); id++ {
+		if e := rec.Get(id); e.Kind == prov.KindRule && rec.Str(e.Lbl) == "j1" {
+			firings++
+		}
+	}
+	if firings != 1 {
+		t.Errorf("j1 firings recorded = %d, want 1", firings)
 	}
 }
 

@@ -26,17 +26,16 @@ type Options struct {
 	// DefaultLatency is used for message delivery when the topology has no
 	// link latency for the destination (e.g. multi-hop control messages).
 	DefaultLatency float64
-	// LossRate drops each message with this probability (deterministic
-	// pseudo-randomness from Seed). It predates the fault-channel model
-	// below and draws from its own global stream, so existing seeded runs
-	// are unchanged by the channel machinery.
-	LossRate float64
-	// DupRate delivers an extra copy of each message with this
-	// probability; DelayJitter adds a uniform [0,DelayJitter) to each
-	// message's latency; ReorderRate additionally delays a message by up
-	// to twice the link latency so it can arrive behind later traffic.
-	// These populate the default fault channel (see internal/faults);
-	// per-link overrides come from ApplyPlan.
+	// LossRate drops each message with this probability; DupRate
+	// delivers an extra copy of each message with this probability;
+	// DelayJitter adds a uniform [0,DelayJitter) to each message's
+	// latency; ReorderRate additionally delays a message by up to twice
+	// the link latency so it can arrive behind later traffic. These
+	// populate the default fault channel (see internal/faults), whose
+	// draws come from per-link streams seeded from Seed; a plan's
+	// non-zero Default channel replaces it, and per-link overrides come
+	// from ApplyPlan.
+	LossRate    float64
 	DupRate     float64
 	DelayJitter float64
 	ReorderRate float64
@@ -176,19 +175,11 @@ type Network struct {
 	seq   int // tiebreaker for deterministic event order
 	now   float64
 
-	// Rule indexes, shared by every node (a per-node copy costs O(nodes ×
-	// rules) memory, which matters at 10^5..10^6 nodes): triggers maps a
-	// predicate to the (rule, body-literal index) pairs where it occurs
-	// positively; aggTriggers lists aggregate rules by input predicate;
-	// headRules lists the non-delete, non-aggregate rules that can head a
-	// predicate and have a head-seeded plan — the re-derivation check of
-	// the deletion cascade. aggKeys holds the key columns of an
-	// undeclared aggregate head (its group columns), so a new aggregate
+	// Which rules a change reaches comes from the localized analysis
+	// (an.Readers), shared by every node. aggKeys holds the key columns of
+	// an undeclared aggregate head (its group columns), so a new aggregate
 	// value replaces the superseded one as in a declared table.
-	triggers    map[string][]trigger
-	aggTriggers map[string][]*ndlog.Rule
-	headRules   map[string][]*ndlog.Rule
-	aggKeys     map[string][]int
+	aggKeys map[string][]int
 
 	// outbox batches remote derivations by directed link within one event
 	// instant: deliver enqueues entries here and flushOutbox (end of each
@@ -214,9 +205,9 @@ type Network struct {
 	// solutions. Because the stream is seeded, two runs with the same
 	// Options.Seed are bit-for-bit identical; the centralized engine
 	// (internal/datalog) is the fully deterministic counterpart.
-	execs    map[*ndlog.Plan]*store.Exec
-	shuf     *store.Shuffler
-	deltaBuf [1]value.Tuple // reusable delta slice for pipelined evaluation
+	execs map[*ndlog.Plan]*store.Exec
+	shuf  *store.Shuffler
+	delta store.DeltaPass // the pipelined evaluation of one changed tuple
 
 	col     *obs.Collector // never nil: private one when Options.Obs unset
 	tracer  *obs.Tracer    // nil when tracing disabled
@@ -228,9 +219,7 @@ type Network struct {
 
 	lastChange float64
 
-	rngState uint64
-
-	// Fault channels: defaultChan comes from Options (DupRate etc.) or a
+	// Fault channels: defaultChan comes from Options (LossRate etc.) or a
 	// plan's Default; chanOverrides holds per-directed-link channels from
 	// ApplyPlan. chans caches resolved per-link channel state, each with
 	// its own Substream(seed, "chan", src, dst) PRNG, so channel draws are
@@ -270,8 +259,8 @@ type Network struct {
 	topoVer int
 
 	// Soft-state refresh driver (InjectRefresh): while refreshing, a
-	// no-op re-insert into a soft-state table re-fires the rules it
-	// triggers — NDlog's periodic refresh, which is what lets restarted
+	// no-op re-insert into a soft-state table re-fires the rules that
+	// read it — NDlog's periodic refresh, which is what lets restarted
 	// nodes recover state and stale derivations expire. waveSeen dedups
 	// refresh firings per (node, pred, key) within one refresh interval,
 	// so a wave traverses the network once per tick instead of echoing
@@ -320,18 +309,18 @@ func NewNetwork(prog *ndlog.Program, topo *netgraph.Topology, opts Options) (*Ne
 		}
 	}
 	n := &Network{
-		prog:     localized,
-		an:       lan,
-		topo:     topo,
-		opts:     opts,
-		nodes:    map[string]*Node{},
-		execs:    map[*ndlog.Plan]*store.Exec{},
-		shuf:     store.NewShuffler(opts.Seed),
-		rngState: opts.Seed ^ 0xdeadbeefcafef00d,
-		history:  map[string][2]string{},
-		prov:     opts.Prov,
+		prog:    localized,
+		an:      lan,
+		topo:    topo,
+		opts:    opts,
+		nodes:   map[string]*Node{},
+		execs:   map[*ndlog.Plan]*store.Exec{},
+		shuf:    store.NewShuffler(opts.Seed),
+		history: map[string][2]string{},
+		prov:    opts.Prov,
 
 		defaultChan: faults.Channel{
+			Loss:    opts.LossRate,
 			Dup:     opts.DupRate,
 			Jitter:  opts.DelayJitter,
 			Reorder: opts.ReorderRate,
@@ -340,9 +329,6 @@ func NewNetwork(prog *ndlog.Program, topo *netgraph.Topology, opts Options) (*Ne
 		chans:         map[string]*chanState{},
 		rel:           map[string]*relState{},
 		derived:       map[string]bool{},
-		triggers:      map[string][]trigger{},
-		aggTriggers:   map[string][]*ndlog.Rule{},
-		headRules:     map[string][]*ndlog.Rule{},
 		aggKeys:       map[string][]int{},
 		outbox:        map[string][]msgEntry{},
 		linkEpoch:     map[string]int{},
@@ -370,25 +356,6 @@ func NewNetwork(prog *ndlog.Program, topo *netgraph.Topology, opts Options) (*Ne
 						n.aggKeys[r.Head.Pred] = append(n.aggKeys[r.Head.Pred], c)
 					}
 				}
-			}
-		}
-		seenAgg := map[string]bool{}
-		for i, l := range r.Body {
-			if l.Atom == nil || l.Neg {
-				continue
-			}
-			if agg != nil {
-				if !seenAgg[l.Atom.Pred] {
-					seenAgg[l.Atom.Pred] = true
-					n.aggTriggers[l.Atom.Pred] = append(n.aggTriggers[l.Atom.Pred], r)
-				}
-				continue
-			}
-			n.triggers[l.Atom.Pred] = append(n.triggers[l.Atom.Pred], trigger{rule: r, idx: i})
-		}
-		if agg == nil && !r.Delete {
-			if rp := lan.Plans[r]; rp != nil && rp.HeadSeeded != nil {
-				n.headRules[r.Head.Pred] = append(n.headRules[r.Head.Pred], r)
 			}
 		}
 	}
@@ -796,12 +763,6 @@ func (n *Network) linkSpec(a, b string) (int64, float64) {
 	return 1, 1
 }
 
-// rand01 returns a deterministic pseudo-random float in [0,1).
-func (n *Network) rand01() float64 {
-	n.rngState = n.rngState*6364136223846793005 + 1442695040888963407
-	return float64(n.rngState>>11) / float64(1<<53)
-}
-
 // topoIdx returns the topology index. It is built on first use, inside
 // Run, so NewNetwork does not pay for it; from then on linkDown and
 // linkUp keep it current.
@@ -963,10 +924,10 @@ func (n *Network) sendBatch(src, dst string, entries []msgEntry) {
 
 // transmit applies the link's fault channel to one physical transmission:
 // duplication (each copy counts as sent and faces loss independently),
-// the legacy global LossRate, channel loss, delay jitter, and reordering
-// delay. Every scheduled copy is stamped with the link epoch so a later
-// link failure drops it in flight. Retransmissions re-enter here with
-// attempt > 0 and count as sent like any other copy.
+// loss, delay jitter, and reordering delay. Every scheduled copy is
+// stamped with the link epoch so a later link failure drops it in
+// flight. Retransmissions re-enter here with attempt > 0 and count as
+// sent like any other copy.
 func (n *Network) transmit(src, dst, pred string, tup value.Tuple, cause prov.ID, entries []msgEntry, rel bool, rseq int64, attempt int, repair bool) {
 	ch := n.chanFor(src, dst)
 	copies := 1
@@ -983,10 +944,6 @@ func (n *Network) transmit(src, dst, pred string, tup value.Tuple, cause prov.ID
 		n.nm.sent.Add(1)
 		if n.tracer != nil {
 			n.tracer.Emit(obs.Event{T: n.now, Kind: obs.EvMessageSent, From: src, To: dst, Pred: pred, Tuple: tup.String()})
-		}
-		if n.opts.LossRate > 0 && n.rand01() < n.opts.LossRate {
-			n.dropMessage(src, dst, pred, tup)
-			continue
 		}
 		if ch != nil && ch.cfg.Loss > 0 && ch.rng.Float64() < ch.cfg.Loss {
 			n.dropMessage(src, dst, pred, tup)
@@ -1322,12 +1279,14 @@ func (n *Network) RunCtx(ctx context.Context) (Result, error) {
 			}
 			final := map[string]update{}
 			var order []string
-			var olds []update // key-replaced old tuples: cascade their losses
+			var olds []update      // key-replaced old tuples: cascade their losses
+			var kills []derivation // what the inserts kill through negation
 			for _, u := range batch {
-				changed, key, old, err := node.insertQuiet(u.pred, u.tup, n.now, u.cause)
+				changed, key, old, ks, err := node.insertQuiet(u.pred, u.tup, n.now, u.cause)
 				if err != nil {
 					return Result{}, err
 				}
+				kills = append(kills, ks...)
 				if old != nil {
 					olds = append(olds, update{u.pred, old, u.cause})
 				}
@@ -1342,6 +1301,9 @@ func (n *Network) RunCtx(ctx context.Context) (Result, error) {
 					order = append(order, k)
 				}
 				final[k] = u
+			}
+			if err := n.deliver(node, kills); err != nil {
+				return Result{}, err
 			}
 			for _, k := range order {
 				u := final[k]

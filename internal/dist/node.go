@@ -14,19 +14,21 @@ import (
 )
 
 // Node is one network participant: its tables and the localized rules it
-// evaluates. Rules are indexed by the predicates of their body atoms so
-// that tuple arrivals trigger exactly the affected rules (pipelined
-// evaluation); the indexes live on the Network (identical at every node)
-// so per-node state is just tables plus crash/checkpoint bookkeeping —
-// what lets one process hold 10^5..10^6 nodes. Tables are store.Table
-// instances — the same storage layer the centralized engine uses — and
-// rule bodies run through the compiled join plans of the localized
-// program's analysis on the shared plan executor. The per-rule
+// evaluates. A tuple change reaches exactly the rules the localized
+// analysis's reader index (ndlog.Readers) lists for its predicate —
+// positive and negated plain readers through the shared delta pass
+// (store.DeltaPass), aggregate readers through group recomputation
+// (pipelined evaluation). The index lives on the analysis (identical at
+// every node), so per-node state is just tables plus crash/checkpoint
+// bookkeeping — what lets one process hold 10^5..10^6 nodes. Tables are
+// store.Table instances — the same storage layer the centralized engine
+// uses — and rule bodies run through the compiled join plans of the
+// localized program's analysis on the shared plan executor. The per-rule
 // maintenance pieces are the engine's too: aggregate groups are found by
 // ndlog's RulePlans.AggGroups and folded by store.Aggregate, the DRed
 // check is store.Rederivable, and antecedents come from
 // Exec.Antecedents. What stays in dist is localization, messaging,
-// keyed soft-state tables and the retraction cascade.
+// keyed soft-state tables and the per-tuple retraction cascade.
 type Node struct {
 	ID  string
 	net *Network
@@ -49,11 +51,6 @@ type Node struct {
 	hasCkpt bool
 }
 
-type trigger struct {
-	rule *ndlog.Rule
-	idx  int
-}
-
 // derivation is a pending derived tuple.
 type derivation struct {
 	pred  string
@@ -62,7 +59,7 @@ type derivation struct {
 	cause prov.ID // the rule firing that produced it (0 when disabled)
 	// del marks an explicit delete-rule firing: the rule, nil otherwise.
 	// Delete rules retract locally and never cascade through plain
-	// triggers (matching the centralized engine, where deletes run after
+	// readers (matching the centralized engine, where deletes run after
 	// the stratum's fixpoint); aggregates over the head do recompute.
 	del *ndlog.Rule
 	// retract marks a deletion-cascade loss candidate: the tuple may have
@@ -109,13 +106,15 @@ func (n *Node) Tuples(pred string) []value.Tuple {
 }
 
 // insert stores a tuple and returns the downstream derivations it enables.
-// It drives plain rules via pipelined semi-naive evaluation (the new tuple
-// as delta), recomputes affected aggregate groups, and — when a keyed put
-// replaced an old tuple — cascades the old tuple's losses after the new
-// tuple's firings (fire-then-losses, so a moved value re-derives its
-// consequences before the stale ones are questioned).
+// The retraction candidates of its negated readers come first (see
+// insertQuiet); then it drives plain rules via pipelined semi-naive
+// evaluation (the new tuple as delta), recomputes affected aggregate
+// groups, and — when a keyed put replaced an old tuple — cascades the old
+// tuple's losses after the new tuple's firings (fire-then-losses, so a
+// moved value re-derives its consequences before the stale ones are
+// questioned).
 func (n *Node) insert(pred string, tup value.Tuple, now float64, cause prov.ID) ([]derivation, error) {
-	changed, _, old, err := n.insertQuiet(pred, tup, now, cause)
+	changed, _, old, kills, err := n.insertQuiet(pred, tup, now, cause)
 	if err != nil {
 		return nil, err
 	}
@@ -125,6 +124,9 @@ func (n *Node) insert(pred string, tup value.Tuple, now float64, cause prov.ID) 
 	ds, err := n.fire(pred, tup)
 	if err != nil {
 		return nil, err
+	}
+	if len(kills) > 0 {
+		ds = append(kills, ds...)
 	}
 	if old != nil && !n.net.opts.ScalarDelete {
 		more, err := n.replacedLosses(pred, old, cause)
@@ -139,9 +141,11 @@ func (n *Node) insert(pred string, tup value.Tuple, now float64, cause prov.ID) 
 // insertQuiet performs the table update (key replacement, expiry
 // scheduling, statistics) without firing rules. It returns whether the
 // table changed, the tuple's primary key (so batch delivery can fire
-// rules once per surviving key), and the old tuple a keyed put replaced
-// (nil otherwise — the caller owes the replaced tuple a loss cascade).
-func (n *Node) insertQuiet(pred string, tup value.Tuple, now float64, cause prov.ID) (bool, string, value.Tuple, error) {
+// rules once per surviving key), the old tuple a keyed put replaced (nil
+// otherwise — the caller owes the replaced tuple a loss cascade), and
+// the derivations the insert kills: the NegDelta plans of pred's negated
+// readers, run before the tuple is stored, as retraction candidates.
+func (n *Node) insertQuiet(pred string, tup value.Tuple, now float64, cause prov.ID) (bool, string, value.Tuple, []derivation, error) {
 	t := n.table(pred)
 	if t.Arity == 0 && t.Len() == 0 {
 		// A predicate unknown to the rules (externally populated table):
@@ -149,14 +153,21 @@ func (n *Node) insertQuiet(pred string, tup value.Tuple, now float64, cause prov
 		t.Arity = len(tup)
 	}
 	if len(tup) != t.Arity {
-		return false, "", nil, fmt.Errorf("dist: %s: %s expects %d columns, got %d", n.ID, pred, t.Arity, len(tup))
+		return false, "", nil, nil, fmt.Errorf("dist: %s: %s expects %d columns, got %d", n.ID, pred, t.Arity, len(tup))
+	}
+	var kills []derivation
+	if neg := n.net.an.Readers.Neg[pred]; len(neg) > 0 && !n.net.opts.ScalarDelete && !t.Contains(tup) {
+		var err error
+		if kills, err = n.runReaders(neg, tup, true, cause); err != nil {
+			return false, "", nil, nil, err
+		}
 	}
 	res, old, err := t.Put(tup, now)
 	if err != nil {
-		return false, "", nil, err
+		return false, "", nil, nil, err
 	}
 	if res == store.PutNoop {
-		return false, "", nil, nil
+		return false, "", nil, nil, nil
 	}
 	if t.Lifetime > 0 {
 		n.net.scheduleExpiry(n.ID, pred, tup, now+t.Lifetime)
@@ -177,45 +188,104 @@ func (n *Node) insertQuiet(pred string, tup value.Tuple, now float64, cause prov
 		n.net.tracer.Emit(obs.Event{T: now, Kind: obs.EvTupleDerived, Node: n.ID, Pred: pred, Tuple: tup.String()})
 	}
 	n.net.lastChange = now
-	return true, key, replaced, nil
+	return true, key, replaced, kills, nil
 }
 
-// fire evaluates the rules triggered by a change to tup of pred: plain
-// rules via delta joins, aggregate rules via group recomputation.
+// fire evaluates the rules a stored (or refreshed) tup of pred reaches:
+// the plain rules reading it positively, through the delta pass, and its
+// aggregate readers.
 func (n *Node) fire(pred string, tup value.Tuple) ([]derivation, error) {
-	var out []derivation
-	for _, tr := range n.net.triggers[pred] {
-		ds, err := n.evalRuleDelta(tr.rule, tr.idx, tup)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ds...)
+	out, err := n.runReaders(n.net.an.Readers.Pos[pred], tup, false, 0)
+	if err != nil {
+		return nil, err
 	}
-	for _, r := range n.net.aggTriggers[pred] {
-		ds, err := n.recomputeAggregate(r, pred, tup)
-		if err != nil {
-			return nil, err
+	return n.recomputeAggs(out, pred, tup)
+}
+
+// recomputeAggs re-evaluates every aggregate reader of pred for the
+// groups a change to tup can affect (RulePlans.AggGroups), recomputing
+// every group when they cannot be determined from the tuple alone, and
+// appends the results to out.
+func (n *Node) recomputeAggs(out []derivation, pred string, tup value.Tuple) ([]derivation, error) {
+	for _, r := range n.net.an.Readers.Agg[pred] {
+		keys, all := n.net.an.Plans[r].AggGroups(pred, tup, nil)
+		if all {
+			keys = []value.Tuple{nil} // a nil seed recomputes every group
 		}
-		out = append(out, ds...)
+		for _, key := range keys {
+			ds, err := n.evalAggregate(r, key)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, ds...)
+		}
 	}
 	return out, nil
 }
 
-// recomputeAggregate re-evaluates the aggregate rule for the groups the
-// changed tuple can affect (RulePlans.AggGroups), falling back to a full
-// recompute when the groups cannot be determined from the tuple alone.
-func (n *Node) recomputeAggregate(r *ndlog.Rule, pred string, tup value.Tuple) ([]derivation, error) {
-	keys, all := n.net.an.Plans[r].AggGroups(pred, tup, nil)
-	if all {
-		return n.evalAggregate(r, nil)
-	}
+// runReaders runs the shared delta pass (store.DeltaPass) of each plain
+// reader of a changed tuple. loss says what the heads are: retraction
+// candidates (a positive read of a removed tuple, a negated read of an
+// inserted one) or, otherwise, derivations (a positive read of a stored
+// tuple, a negated read of a removed one). Candidates are the
+// over-delete half of DRed: verification work, re-checked wherever they
+// land, so they count toward no statistics and skip delete rules, whose
+// heads were never derived by them.
+func (n *Node) runReaders(rds []ndlog.Reader, tup value.Tuple, loss bool, cause prov.ID) ([]derivation, error) {
 	var out []derivation
-	for _, key := range keys {
-		ds, err := n.evalAggregate(r, key)
+	for _, rd := range rds {
+		r := rd.Rule
+		if loss && r.Delete {
+			continue
+		}
+		var ro *distRuleObs // candidates are no firings
+		if !loss {
+			ro = n.net.ruleObs[r]
+		}
+		var t0 time.Time
+		if ro != nil && ro.eval != nil {
+			t0 = time.Now()
+		}
+		probes, err := n.net.delta.Run(n, rd, n.net.an.Plans[r], n.net.exec, tup, func(x *store.Exec, head value.Tuple) error {
+			loc, err := n.headLoc(r, head)
+			if err != nil {
+				return err
+			}
+			if loss {
+				out = append(out, derivation{pred: r.Head.Pred, tup: head, loc: loc, cause: cause, retract: true})
+				return nil
+			}
+			if r.Delete && loc != n.ID {
+				return fmt.Errorf("dist: delete rule %s retracts at remote node %s; only local retractions are supported", r.Label, loc)
+			}
+			n.net.nm.derivations.Add(1)
+			if ro != nil {
+				ro.firings.Add(1)
+				ro.emitted.Add(1)
+			}
+			var c prov.ID
+			if n.net.prov.Enabled() {
+				c = n.net.prov.Rule(n.net.now, n.ID, r.Label, x.Antecedents(n.net.prov, n.ID, &n.net.provAnts))
+			}
+			d := derivation{pred: r.Head.Pred, tup: head, loc: loc, cause: c}
+			if r.Delete {
+				d.del = r
+			}
+			out = append(out, d)
+			return nil
+		})
+		if !loss {
+			n.net.nm.joinProbes.Add(probes)
+		}
+		if ro != nil {
+			ro.probes.Add(probes)
+			if ro.eval != nil {
+				ro.eval.Observe(time.Since(t0))
+			}
+		}
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, ds...)
 	}
 	return out, nil
 }
@@ -255,27 +325,19 @@ func (n *Node) expire(pred string, tup value.Tuple, now float64) ([]derivation, 
 		n.net.tracer.Emit(obs.Event{T: now, Kind: obs.EvExpired, Node: n.ID, Pred: pred, Tuple: cur.String()})
 	}
 	n.net.lastChange = now
-
-	var out []derivation
-	for _, r := range n.net.aggTriggers[pred] {
-		ds, err := n.recomputeAggregate(r, pred, cur)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ds...)
-	}
-	return out, nil
+	return n.recomputeAggs(nil, pred, cur)
 }
 
 // retract removes pred(tup) from the node through the incremental
 // deletion path: the tuple is over-deleted, checked for an alternative
 // derivation (DRed re-derive; skipped under force — primary deletions
 // like link failures are facts, not inferences), and, when truly gone,
-// its delta-join consequences are emitted as further retraction
-// candidates so the loss cascades across rules and nodes. reason and
-// cause feed provenance. Under Options.ScalarDelete the cascade and the
-// re-derivation check are disabled and only aggregates recompute — the
-// pre-cascade oracle semantics.
+// its positive delta-join consequences are emitted as further retraction
+// candidates so the loss cascades across rules and nodes, while its
+// negated readers derive what it no longer blocks. reason and cause feed
+// provenance. Under Options.ScalarDelete the cascade, the revival and
+// the re-derivation check are disabled and only aggregates recompute —
+// the pre-cascade oracle semantics.
 func (n *Node) retract(pred string, tup value.Tuple, force bool, reason string, cause prov.ID) ([]derivation, error) {
 	t, ok := n.tables[pred]
 	if !ok {
@@ -291,7 +353,7 @@ func (n *Node) retract(pred string, tup value.Tuple, force bool, reason string, 
 	var losses []derivation
 	if !n.net.opts.ScalarDelete {
 		var err error
-		losses, err = n.lossCandidates(pred, tup, cause)
+		losses, err = n.runReaders(n.net.an.Readers.Pos[pred], tup, true, cause)
 		if err != nil {
 			return nil, err
 		}
@@ -318,12 +380,15 @@ func (n *Node) retract(pred string, tup value.Tuple, force bool, reason string, 
 	}
 	n.net.lastChange = n.net.now
 	var out []derivation
-	for _, r := range n.net.aggTriggers[pred] {
-		ds, err := n.recomputeAggregate(r, pred, tup)
-		if err != nil {
+	if !n.net.opts.ScalarDelete {
+		var err error
+		if out, err = n.runReaders(n.net.an.Readers.Neg[pred], tup, false, 0); err != nil {
 			return nil, err
 		}
-		out = append(out, ds...)
+	}
+	out, err := n.recomputeAggs(out, pred, tup)
+	if err != nil {
+		return nil, err
 	}
 	return append(out, losses...), nil
 }
@@ -334,7 +399,7 @@ func (n *Node) retract(pred string, tup value.Tuple, force bool, reason string, 
 // witness re-records the tuple's provenance under the rule's
 // "/rederive" label — mirroring the engine's DRed re-derivation pass.
 func (n *Node) rederive(pred string, tup value.Tuple) (bool, error) {
-	for _, r := range n.net.headRules[pred] {
+	for _, r := range n.net.an.Readers.Head[pred] {
 		loc, err := n.headLoc(r, tup)
 		if err != nil || loc != n.ID {
 			continue // this rule derives the tuple at another node
@@ -355,61 +420,37 @@ func (n *Node) rederive(pred string, tup value.Tuple) (bool, error) {
 	return false, nil
 }
 
-// lossCandidates evaluates the positive delta plans triggered by a
-// deleted tuple and returns every head that may have lost support — the
-// over-delete half of DRed. Candidates are verification work, not rule
-// firings: they do not count toward derivation statistics, and each one
-// is re-checked (and possibly re-derived) wherever it lands.
-func (n *Node) lossCandidates(pred string, tup value.Tuple, cause prov.ID) ([]derivation, error) {
-	var out []derivation
-	for _, tr := range n.net.triggers[pred] {
-		if tr.rule.Delete {
-			continue // a delete rule's head was never derived by it
-		}
-		plan := n.net.an.Plans[tr.rule].Delta[tr.idx]
-		x := n.net.exec(plan)
-		n.net.deltaBuf[0] = tup
-		_, err := x.Run(n, n.net.deltaBuf[:], nil, func([]value.V) error {
-			head := make(value.Tuple, len(plan.HeadExprs))
-			if err := plan.BuildHead(x.Env(), head); err != nil {
-				return fmt.Errorf("dist: rule %s head: %w", tr.rule.Label, err)
-			}
-			loc, err := n.headLoc(tr.rule, head)
-			if err != nil {
-				return err
-			}
-			out = append(out, derivation{pred: tr.rule.Head.Pred, tup: head, loc: loc, cause: cause, retract: true})
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// replacedLosses cascades the disappearance of a key-replaced old tuple:
-// its delta-join consequences become retraction candidates, and its old
-// aggregate groups recompute (the new tuple's groups were already
-// covered when the replacement fired).
-func (n *Node) replacedLosses(pred string, old value.Tuple, cause prov.ID) ([]derivation, error) {
-	out, err := n.lossCandidates(pred, old, cause)
+// lost returns what the removal of tup from pred, already made, owes
+// pred's plain readers: retraction candidates from the positive ones
+// (cause feeds their provenance), then the derivations the negated ones
+// revive.
+func (n *Node) lost(pred string, tup value.Tuple, cause prov.ID) ([]derivation, error) {
+	out, err := n.runReaders(n.net.an.Readers.Pos[pred], tup, true, cause)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range n.net.aggTriggers[pred] {
-		ds, err := n.recomputeAggregate(r, pred, old)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ds...)
+	revived, err := n.runReaders(n.net.an.Readers.Neg[pred], tup, false, 0)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return append(out, revived...), nil
+}
+
+// replacedLosses cascades the disappearance of a key-replaced old tuple:
+// what its plain readers lose or revive, then its old aggregate groups
+// (the new tuple's groups were already covered when the replacement
+// fired).
+func (n *Node) replacedLosses(pred string, old value.Tuple, cause prov.ID) ([]derivation, error) {
+	out, err := n.lost(pred, old, cause)
+	if err != nil {
+		return nil, err
+	}
+	return n.recomputeAggs(out, pred, old)
 }
 
 // retractDerived applies a delete-rule firing: remove the exact tuple
 // and recompute aggregates over the head predicate, exactly as expiry
-// does. Plain triggers do not re-fire — a retraction cascading through
+// does. Plain readers do not re-fire — a retraction cascading through
 // positive rules would diverge from the stratified engine, where delete
 // rules run only after their stratum's fixpoint.
 func (n *Node) retractDerived(r *ndlog.Rule, pred string, tup value.Tuple) ([]derivation, error) {
@@ -422,65 +463,7 @@ func (n *Node) retractDerived(r *ndlog.Rule, pred string, tup value.Tuple) ([]de
 		n.net.tracer.Emit(obs.Event{T: n.net.now, Kind: obs.EvExpired, Node: n.ID, Pred: pred, Tuple: tup.String()})
 	}
 	n.net.lastChange = n.net.now
-	var out []derivation
-	for _, ar := range n.net.aggTriggers[pred] {
-		ds, err := n.recomputeAggregate(ar, pred, tup)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ds...)
-	}
-	return out, nil
-}
-
-// evalRuleDelta evaluates rule r with body literal idx bound to the new
-// tuple, running the rule's compiled per-literal delta plan on the shared
-// executor against the local store.
-func (n *Node) evalRuleDelta(r *ndlog.Rule, idx int, delta value.Tuple) ([]derivation, error) {
-	if agg, _ := r.Head.HeadAgg(); agg != nil {
-		return nil, nil // aggregate rules are recomputed, not delta-joined
-	}
-	ro := n.net.ruleObs[r]
-	if ro != nil && ro.eval != nil {
-		defer func(t0 time.Time) { ro.eval.Observe(time.Since(t0)) }(time.Now())
-	}
-	plan := n.net.an.Plans[r].Delta[idx]
-	x := n.net.exec(plan)
-	var out []derivation
-	n.net.deltaBuf[0] = delta
-	probes, err := x.Run(n, n.net.deltaBuf[:], nil, func([]value.V) error {
-		tup := make(value.Tuple, len(plan.HeadExprs))
-		if err := plan.BuildHead(x.Env(), tup); err != nil {
-			return fmt.Errorf("dist: rule %s head: %w", r.Label, err)
-		}
-		loc, err := n.headLoc(r, tup)
-		if err != nil {
-			return err
-		}
-		if r.Delete && loc != n.ID {
-			return fmt.Errorf("dist: delete rule %s retracts at remote node %s; only local retractions are supported", r.Label, loc)
-		}
-		n.net.nm.derivations.Add(1)
-		if ro != nil {
-			ro.firings.Add(1)
-			ro.emitted.Add(1)
-		}
-		var cause prov.ID
-		if n.net.prov.Enabled() {
-			cause = n.net.prov.Rule(n.net.now, n.ID, r.Label, x.Antecedents(n.net.prov, n.ID, &n.net.provAnts))
-		}
-		d := derivation{pred: r.Head.Pred, tup: tup, loc: loc, cause: cause}
-		if r.Delete {
-			d.del = r
-		}
-		out = append(out, d)
-		return nil
-	})
-	n.net.nm.joinProbes.Add(probes)
-	if ro != nil {
-		ro.probes.Add(probes)
-	}
-	return out, err
+	return n.recomputeAggs(nil, pred, tup)
 }
 
 // evalAggregate recomputes an aggregate rule on the shared kernel
@@ -573,5 +556,5 @@ func (n *Node) retractAggGroup(r *ndlog.Rule, seed value.Tuple) ([]derivation, e
 	if n.net.opts.ScalarDelete {
 		return nil, nil
 	}
-	return n.lossCandidates(r.Head.Pred, old, 0)
+	return n.lost(r.Head.Pred, old, 0)
 }

@@ -2,6 +2,7 @@ package ndlog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/value"
@@ -36,13 +37,6 @@ type Analysis struct {
 	// but execute operationally under the event-driven distributed runtime
 	// — exactly P2's position for routing protocols.
 	AggInCycle bool
-	// RecStrata[s] is true when some rule of stratum s reads a derived
-	// predicate of the same stratum through a positive body atom — the
-	// stratum may hold recursively derived tuples, so incremental deletion
-	// must over-delete and re-derive (DRed) instead of trusting support
-	// counts (a cycle gives a tuple unboundedly many derivation trees).
-	RecStrata []bool
-
 	// LocVars lists, per rule, the distinct location variables of its body
 	// atoms, in first-appearance order. A rule with more than one location
 	// variable requires the distributed localization rewrite.
@@ -52,6 +46,40 @@ type Analysis struct {
 	// and seeded aggregate variants), shared by the centralized engine and
 	// the distributed runtime.
 	Plans map[*Rule]*RulePlans
+	// Readers indexes, per predicate, the rules a change to it must
+	// reach; both evaluators run their incremental passes from it.
+	Readers Readers
+}
+
+// Reader is one plain rule reading a predicate: the body positions of
+// its atoms over that predicate, in body order. The positions are all
+// positive or all negated; a rule reading a predicate both ways has one
+// Reader of each kind.
+type Reader struct {
+	Rule *Rule
+	Pos  []int
+}
+
+// Readers is the reader index of a program, built once by Analyze.
+// Plain rules are the non-aggregate ones, delete rules included.
+type Readers struct {
+	// Pos lists, per predicate, the plain rules reading it through a
+	// positive atom, in rule order.
+	Pos map[string][]Reader
+	// Neg is Pos for negated atoms.
+	Neg map[string][]Reader
+	// Agg lists, per predicate, the aggregate rules reading it through
+	// any atom, positive or negated, in rule order.
+	Agg map[string][]*Rule
+	// Head lists, per predicate, the non-delete, non-aggregate rules
+	// deriving it: the candidates of a re-derivation check.
+	Head map[string][]*Rule
+	// Rec marks the predicates on a positive dependency cycle through
+	// derived predicates (delete rules excluded). Only such a cycle gives
+	// a tuple unboundedly many derivation trees; a stratum can hold an
+	// acyclic predicate next to a recursive one (path-vector's
+	// bestPathCost next to path).
+	Rec map[string]bool
 }
 
 // Analyze performs safety, schema, aggregate, location, and stratification
@@ -85,36 +113,72 @@ func Analyze(prog *Program) (*Analysis, error) {
 	if err := a.stratify(); err != nil {
 		return nil, err
 	}
-	a.markRecursiveStrata()
+	a.buildReaders()
 	if err := a.buildPlans(); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
-// markRecursiveStrata fills RecStrata: a stratum is recursive when any of
-// its rules reads a same-stratum derived predicate through a positive
-// body atom. (Delete rules are excluded — they run after the stratum
-// fixpoint and derive nothing.)
-func (a *Analysis) markRecursiveStrata() {
-	a.RecStrata = make([]bool, len(a.Strata))
+// buildReaders fills the reader index from the (normalized) rules.
+func (a *Analysis) buildReaders() {
+	rd := Readers{
+		Pos:  map[string][]Reader{},
+		Neg:  map[string][]Reader{},
+		Agg:  map[string][]*Rule{},
+		Head: map[string][]*Rule{},
+		Rec:  map[string]bool{},
+	}
+	dep := map[string][]string{} // head -> derived preds it reads positively
 	for _, r := range a.Prog.Rules {
-		if r.Delete {
-			continue
+		_, aggIdx := r.Head.HeadAgg()
+		if aggIdx < 0 && !r.Delete {
+			rd.Head[r.Head.Pred] = append(rd.Head[r.Head.Pred], r)
 		}
-		s := a.StratumOf[r.Head.Pred]
-		if s < 0 || s >= len(a.RecStrata) {
-			continue
-		}
-		for _, l := range r.Body {
-			if l.Atom == nil || l.Neg {
+		for i, l := range r.Body {
+			if l.Atom == nil {
 				continue
 			}
-			if a.Derived[l.Atom.Pred] && a.StratumOf[l.Atom.Pred] == s {
-				a.RecStrata[s] = true
+			p := l.Atom.Pred
+			if !r.Delete && !l.Neg && a.Derived[p] && !slices.Contains(dep[r.Head.Pred], p) {
+				dep[r.Head.Pred] = append(dep[r.Head.Pred], p)
+			}
+			if aggIdx >= 0 {
+				if !slices.Contains(rd.Agg[p], r) {
+					rd.Agg[p] = append(rd.Agg[p], r)
+				}
+				continue
+			}
+			m := rd.Pos
+			if l.Neg {
+				m = rd.Neg
+			}
+			// Rules arrive in order, so r's reader, if any, is the last.
+			if list := m[p]; len(list) > 0 && list[len(list)-1].Rule == r {
+				list[len(list)-1].Pos = append(list[len(list)-1].Pos, i)
+			} else {
+				m[p] = append(list, Reader{Rule: r, Pos: []int{i}})
 			}
 		}
 	}
+	// A predicate is recursive when a walk of dep from it returns to it.
+	for pred := range dep {
+		seen := map[string]bool{}
+		stack := slices.Clone(dep[pred])
+		for len(stack) > 0 {
+			cur := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if cur == pred {
+				rd.Rec[pred] = true
+				break
+			}
+			if !seen[cur] {
+				seen[cur] = true
+				stack = append(stack, dep[cur]...)
+			}
+		}
+	}
+	a.Readers = rd
 }
 
 // checkSchemas verifies that every predicate is used with one arity and

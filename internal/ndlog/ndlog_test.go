@@ -1,6 +1,7 @@
 package ndlog
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -513,4 +514,60 @@ r5 f(@N,min<C>) :- x(@N,C), y(@N,C,A).
 			t.Errorf("%s: keys %v all=%v, want %q all=%v", tc.name, got, all, tc.keys, tc.all)
 		}
 	}
+}
+
+// TestReaders pins the reader index Analyze builds for both evaluators.
+func TestReaders(t *testing.T) {
+	show := func(rds []Reader) string {
+		var parts []string
+		for _, rd := range rds {
+			parts = append(parts, fmt.Sprintf("%s%v", rd.Rule.Label, rd.Pos))
+		}
+		return strings.Join(parts, " ")
+	}
+	labels := func(rs []*Rule) string {
+		var parts []string
+		for _, r := range rs {
+			parts = append(parts, r.Label)
+		}
+		return strings.Join(parts, " ")
+	}
+	readers := func(src string) Readers {
+		t.Helper()
+		an, err := Analyze(MustParse("readers", src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return an.Readers
+	}
+	check := func(what, got, want string) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s = %q, want %q", what, got, want)
+		}
+	}
+
+	pv := readers(pathVectorSrc)
+	for pred, want := range map[string]bool{"path": true, "bestPathCost": false, "bestPath": false, "link": false} {
+		if pv.Rec[pred] != want {
+			t.Errorf("path-vector Rec[%s] = %v, want %v", pred, pv.Rec[pred], want)
+		}
+	}
+	check("path-vector Agg[path]", labels(pv.Agg["path"]), "r3")
+
+	sj := readers(`j1 j(@A,X,Y) :- e(@A,X,C), e(@A,Y,C).`)
+	check("self-join Pos[e]", show(sj.Pos["e"]), "j1[0 1]")
+
+	neg := readers(`n1 nq(@A,X) :- e(@A,X,C), !q(@A,X).
+c1 cnt(@A,count<X>) :- e(@A,X,C), !q(@A,X).`)
+	check("negation Neg[q]", show(neg.Neg["q"]), "n1[1]")
+	check("negation Pos[q]", show(neg.Pos["q"]), "")
+	check("negation Pos[e]", show(neg.Pos["e"]), "n1[0]")
+	check("negation Agg[q]", labels(neg.Agg["q"]), "c1")
+
+	del := readers(`u1 dr(@A,X) :- e(@A,X,C).
+ud delete dr(@A,X) :- q(@A,X), e(@A,X,C).`)
+	check("delete Pos[e]", show(del.Pos["e"]), "u1[0] ud[1]")
+	check("delete Pos[q]", show(del.Pos["q"]), "ud[0]")
+	check("delete Head[dr]", labels(del.Head["dr"]), "u1")
 }

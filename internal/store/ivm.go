@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/ndlog"
 	"repro/internal/value"
@@ -9,7 +10,8 @@ import (
 
 // This file is the storage side of incremental view maintenance: per-tuple
 // support counts on Table (the counting algorithm for non-recursive
-// strata) and the DRed re-derivation check (for recursive strata, where a
+// strata), the delta pass that runs a reader's plans for one changed
+// tuple, and the DRed re-derivation check (for recursive strata, where a
 // cycle gives a tuple unboundedly many derivation trees and counts are
 // unsound).
 
@@ -100,6 +102,54 @@ func (f *FrameSet) Seen(p *ndlog.Plan, frame []value.V) bool {
 	}
 	f.seen[h] = struct{}{}
 	return false
+}
+
+// DeltaPass runs the delta plans of one reader (ndlog.Reader) for one
+// changed tuple: the incremental step both evaluators take for every
+// rule a change reaches. It owns the reusable delta slot and frame set;
+// like Exec it is single-goroutine state.
+type DeltaPass struct {
+	frames FrameSet
+	delta  [1]value.Tuple
+}
+
+// Run evaluates rd's plans with tup as the delta: the Delta plan at each
+// positive position, the NegDelta plan at each negated one (see
+// ndlog.RulePlans for which state each direction runs against), each on
+// the executor exec returns. A reader with more than one position skips
+// frames an earlier position already emitted, so a self-join yields each
+// derivation once. For every frame Run builds the head into a fresh
+// tuple and calls emit with the executor, whose frame is still bound
+// (for Antecedents). It returns the probes of all runs.
+func (d *DeltaPass) Run(ts TableSource, rd ndlog.Reader, rp *ndlog.RulePlans, exec func(*ndlog.Plan) *Exec, tup value.Tuple, emit func(x *Exec, head value.Tuple) error) (int64, error) {
+	dedup := len(rd.Pos) > 1
+	if dedup {
+		d.frames.Reset()
+	}
+	d.delta[0] = tup
+	var probes int64
+	for _, i := range rd.Pos {
+		plan := rp.Delta[i]
+		if rd.Rule.Body[i].Neg {
+			plan = rp.NegDelta[i]
+		}
+		x := exec(plan)
+		n, err := x.Run(ts, d.delta[:], nil, func(frame []value.V) error {
+			if dedup && d.frames.Seen(plan, frame) {
+				return nil
+			}
+			head := make(value.Tuple, len(plan.HeadExprs))
+			if err := plan.BuildHead(x.Env(), head); err != nil {
+				return fmt.Errorf("store: rule %s head: %w", rd.Rule.Label, err)
+			}
+			return emit(x, head)
+		})
+		probes += n
+		if err != nil {
+			return probes, err
+		}
+	}
+	return probes, nil
 }
 
 // Rederivable is the DRed re-derivation check: it reports whether head
