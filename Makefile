@@ -17,7 +17,7 @@ race:
 	$(GO) test -race ./...
 
 bench:
-	$(GO) test -bench=. -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_PR10.json
+	$(GO) test -bench=. -benchmem -count=5 . | $(GO) run ./cmd/benchjson -o BENCH_PR10.json
 
 chaos-smoke:
 	$(GO) run -race ./cmd/fvn chaos -n 25 -topo ring:6

@@ -1,7 +1,10 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // JSON document on stdout (or -o file). It exists so `make bench` can
 // emit machine-readable benchmark snapshots (BENCH_PR2.json) without any
-// dependency beyond the standard library.
+// dependency beyond the standard library. Under `go test -count=N` each
+// benchmark prints N lines; benchjson records one entry per benchmark
+// with the median of every metric over its samples and the min and max
+// of ns/op, so one noisy sample does not become the record.
 package main
 
 import (
@@ -9,16 +12,24 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// result is one parsed benchmark line.
+// result is one benchmark: a single parsed line, or the summary of all
+// the lines of one name.
 type result struct {
-	Name        string  `json:"name"`
-	Iterations  int64   `json:"iterations"`
+	Name string `json:"name"`
+	// Samples counts the lines summarized; Iterations is their total.
+	Samples    int   `json:"samples"`
+	Iterations int64 `json:"iterations"`
+	// NsPerOp is the median sample, NsPerOpMin/Max the extremes.
 	NsPerOp     float64 `json:"ns_per_op"`
+	NsPerOpMin  float64 `json:"ns_per_op_min"`
+	NsPerOpMax  float64 `json:"ns_per_op_max"`
 	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
 	// Extra holds custom ReportMetric units, e.g. "steps/op".
@@ -37,33 +48,12 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 
-	var d doc
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line) // tee: keep the human-readable stream visible
-		switch {
-		case strings.HasPrefix(line, "goos: "):
-			d.Goos = strings.TrimPrefix(line, "goos: ")
-		case strings.HasPrefix(line, "goarch: "):
-			d.Goarch = strings.TrimPrefix(line, "goarch: ")
-		case strings.HasPrefix(line, "pkg: "):
-			d.Pkg = strings.TrimPrefix(line, "pkg: ")
-		case strings.HasPrefix(line, "cpu: "):
-			d.CPU = strings.TrimPrefix(line, "cpu: ")
-		case strings.HasPrefix(line, "Benchmark"):
-			if r, ok := parseLine(line); ok {
-				d.Benchmarks = append(d.Benchmarks, r)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	d, err := read(os.Stdin, os.Stdout)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-
-	enc, err := json.MarshalIndent(&d, "", "  ")
+	enc, err := json.MarshalIndent(d, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
@@ -77,6 +67,94 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// read parses `go test -bench` output from r, copying every line to tee
+// so the human-readable stream stays visible, and summarizes the samples
+// of each benchmark in first-seen order.
+func read(r io.Reader, tee io.Writer) (*doc, error) {
+	d := &doc{}
+	samples := map[string][]result{}
+	var names []string
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		fmt.Fprintln(tee, line)
+		switch {
+		case strings.HasPrefix(line, "goos: "):
+			d.Goos = strings.TrimPrefix(line, "goos: ")
+		case strings.HasPrefix(line, "goarch: "):
+			d.Goarch = strings.TrimPrefix(line, "goarch: ")
+		case strings.HasPrefix(line, "pkg: "):
+			d.Pkg = strings.TrimPrefix(line, "pkg: ")
+		case strings.HasPrefix(line, "cpu: "):
+			d.CPU = strings.TrimPrefix(line, "cpu: ")
+		case strings.HasPrefix(line, "Benchmark"):
+			if res, ok := parseLine(line); ok {
+				if _, seen := samples[res.Name]; !seen {
+					names = append(names, res.Name)
+				}
+				samples[res.Name] = append(samples[res.Name], res)
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	for _, name := range names {
+		d.Benchmarks = append(d.Benchmarks, summarize(samples[name]))
+	}
+	return d, nil
+}
+
+// summarize folds the samples of one benchmark: the median of each
+// metric (a metric missing from some samples is the median of those
+// that report it) and the range of ns/op.
+func summarize(rs []result) result {
+	s := result{Name: rs[0].Name, Samples: len(rs)}
+	var ns, bytes, allocs []float64
+	extra := map[string][]float64{}
+	for _, r := range rs {
+		s.Iterations += r.Iterations
+		ns = append(ns, r.NsPerOp)
+		if r.BytesPerOp != nil {
+			bytes = append(bytes, float64(*r.BytesPerOp))
+		}
+		if r.AllocsPerOp != nil {
+			allocs = append(allocs, float64(*r.AllocsPerOp))
+		}
+		for unit, v := range r.Extra {
+			extra[unit] = append(extra[unit], v)
+		}
+	}
+	s.NsPerOp, s.NsPerOpMin, s.NsPerOpMax = median(ns), slices.Min(ns), slices.Max(ns)
+	if len(bytes) > 0 {
+		n := int64(median(bytes))
+		s.BytesPerOp = &n
+	}
+	if len(allocs) > 0 {
+		n := int64(median(allocs))
+		s.AllocsPerOp = &n
+	}
+	for unit, vs := range extra {
+		if s.Extra == nil {
+			s.Extra = map[string]float64{}
+		}
+		s.Extra[unit] = median(vs)
+	}
+	return s
+}
+
+// median returns the middle value of vs, the mean of the two middle
+// values for an even count. It sorts vs in place.
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // parseLine parses one benchmark result line, e.g.

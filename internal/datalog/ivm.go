@@ -65,13 +65,15 @@ type ivmState struct {
 	// Change queue, one FIFO per stratum, drained lowest stratum first.
 	queue [][]chg
 	qhead []int
-	// DRed over-delete buffers, one per recursive stratum, with a dedup
-	// fingerprint set.
-	recDel  [][]chg
-	recSeen []map[string]struct{}
+	// DRed over-delete buffers, one per recursive stratum. A tuple may
+	// be buffered more than once; resolveRec skips the repeats, which
+	// are no longer stored by then.
+	recDel [][]chg
 
 	aggDirty map[*ndlog.Rule]*aggDirt
 	aggOut   map[*ndlog.Rule]map[string]store.AggGroup // by aggKey
+	aggMatch ndlog.AggScratch
+	keyBuf   []byte // group-key encoding scratch
 
 	delta store.DeltaPass
 }
@@ -132,7 +134,6 @@ func (e *Engine) ivmStatic() *ivmState {
 	s.queue = make([][]chg, ns)
 	s.qhead = make([]int, ns)
 	s.recDel = make([][]chg, ns)
-	s.recSeen = make([]map[string]struct{}, ns)
 	s.aggDirty = map[*ndlog.Rule]*aggDirt{}
 	s.aggOut = map[*ndlog.Rule]map[string]store.AggGroup{}
 	return s
@@ -244,20 +245,6 @@ func (e *Engine) Update(changes []Change) error {
 func (e *Engine) push(ch chg) {
 	st := e.An.StratumOf[ch.Pred]
 	e.ivm.queue[st] = append(e.ivm.queue[st], ch)
-}
-
-// recDelAdd buffers a DRed over-delete candidate for its stratum.
-func (e *Engine) recDelAdd(st int, pred string, tup value.Tuple) {
-	s := &e.ivm
-	if s.recSeen[st] == nil {
-		s.recSeen[st] = map[string]struct{}{}
-	}
-	key := pred + "\x00" + tup.Key()
-	if _, ok := s.recSeen[st][key]; ok {
-		return
-	}
-	s.recSeen[st][key] = struct{}{}
-	s.recDel[st] = append(s.recDel[st], chg{Change: Change{Pred: pred, Tup: tup, Del: true}})
 }
 
 // drain processes pending work lowest stratum first: aggregate rules of
@@ -405,7 +392,10 @@ func (e *Engine) headEffect(r *ndlog.Rule, x *store.Exec, head value.Tuple, loss
 		}
 	case kRecursive:
 		if loss {
-			e.recDelAdd(e.An.StratumOf[pred], pred, head)
+			// Buffered even when not stored: an insert of head may
+			// still be queued and land before DRed runs.
+			st := e.An.StratumOf[pred]
+			e.ivm.recDel[st] = append(e.ivm.recDel[st], chg{Change: Change{Pred: pred, Tup: head, Del: true}})
 			return
 		}
 		if !rel.Contains(head) {
@@ -445,7 +435,6 @@ func (e *Engine) resolveRec(c *evalCtx, st int) error {
 		overDel = append(overDel, ch)
 	}
 	s.recDel[st] = s.recDel[st][:0]
-	clear(s.recSeen[st])
 	for _, ch := range overDel {
 		if e.rels[ch.Pred].Contains(ch.Tup) {
 			continue
@@ -486,14 +475,15 @@ func (e *Engine) resolveRec(c *evalCtx, st int) error {
 // pruned without recompute — the bulk of a deletion cascade's touched
 // groups.
 func (e *Engine) markAggDirty(pred string, tup value.Tuple, loss bool) {
+	s := &e.ivm
 	for _, r := range e.An.Readers.Agg[pred] {
-		d := e.ivm.aggDirty[r]
+		d := s.aggDirty[r]
 		if d != nil && d.all {
 			continue
 		}
 		rp := e.An.Plans[r]
-		keys, all := rp.AggGroups(pred, tup, func(key value.Tuple, env map[string]value.V) bool {
-			return !e.aggChangeIrrelevant(r, rp, key, env, loss)
+		keys, all := rp.AggGroups(&s.aggMatch, pred, tup, func(key value.Tuple, contrib value.V, ok bool) bool {
+			return !ok || !e.aggChangeIrrelevant(r, rp, key, contrib, loss)
 		})
 		if all {
 			e.setAggDirtyAll(r)
@@ -504,37 +494,34 @@ func (e *Engine) markAggDirty(pred string, tup value.Tuple, loss bool) {
 		}
 		if d == nil {
 			d = &aggDirt{groups: map[string]value.Tuple{}}
-			e.ivm.aggDirty[r] = d
+			s.aggDirty[r] = d
 		}
 		for _, key := range keys {
-			d.groups[key.Key()] = key
+			s.keyBuf = key.AppendKey(s.keyBuf[:0])
+			if _, ok := d.groups[string(s.keyBuf)]; !ok {
+				d.groups[string(s.keyBuf)] = slices.Clone(key)
+			}
 		}
 	}
 }
 
-// aggChangeIrrelevant reports whether a single matched change provably
-// leaves a min/max group's output untouched: the contribution is bound,
-// the group has a known current output, and the contribution is strictly
-// on the wrong side of it (for a loss, also not equal — deleting the
-// witness needs a recompute even when a tie would reproduce it).
-func (e *Engine) aggChangeIrrelevant(r *ndlog.Rule, rp *ndlog.RulePlans, key value.Tuple, env map[string]value.V, loss bool) bool {
+// aggChangeIrrelevant reports whether a single matched change, which
+// contributes contrib to the group key names, provably leaves a min/max
+// group's output untouched: the group has a known current output, and
+// the contribution is strictly on the wrong side of it (for a loss, also
+// not equal — deleting the witness needs a recompute even when a tie
+// would reproduce it).
+func (e *Engine) aggChangeIrrelevant(r *ndlog.Rule, rp *ndlog.RulePlans, key value.Tuple, contrib value.V, loss bool) bool {
 	kind := rp.Seeded.AggKind
 	if kind != "min" && kind != "max" {
 		return false
 	}
-	agg, aggIdx := r.Head.HeadAgg()
-	if agg == nil || agg.Arg == "" {
-		return false
-	}
-	contrib, ok := env[agg.Arg]
+	e.ivm.keyBuf = key.AppendKey(e.ivm.keyBuf[:0])
+	cur, ok := e.ivm.aggOut[r][string(e.ivm.keyBuf)]
 	if !ok {
 		return false
 	}
-	cur, ok := e.ivm.aggOut[r][key.Key()]
-	if !ok {
-		return false
-	}
-	c := contrib.Compare(cur.Out[aggIdx])
+	c := contrib.Compare(cur.Out[rp.Seeded.AggIdx])
 	if kind == "max" {
 		c = -c
 	}

@@ -366,6 +366,25 @@ func TestStatsPopulated(t *testing.T) {
 	}
 }
 
+// TestRunLeavesNoHandledEvents checks that a drained event queue keeps no
+// pointer to an event it has handled: the heap's backing array outlives
+// the run, and every stale slot would keep an event, its message and its
+// tuples alive for the life of the network.
+func TestRunLeavesNoHandledEvents(t *testing.T) {
+	net, err := NewNetwork(ndlog.MustParse("pv", pathVectorSrc), netgraph.Ring(6), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range net.queue[len(net.queue):cap(net.queue)] {
+		if e != nil {
+			t.Fatalf("slot %d past the queue's end still holds a %v event", len(net.queue)+i, e.kind)
+		}
+	}
+}
+
 func TestKeyReplacementCountsRouteChange(t *testing.T) {
 	src := `
 materialize(advert, infinity, infinity, keys(1,2)).

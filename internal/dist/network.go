@@ -207,7 +207,8 @@ type Network struct {
 	// (internal/datalog) is the fully deterministic counterpart.
 	execs map[*ndlog.Plan]*store.Exec
 	shuf  *store.Shuffler
-	delta store.DeltaPass // the pipelined evaluation of one changed tuple
+	delta store.DeltaPass  // the pipelined evaluation of one changed tuple
+	aggs  ndlog.AggScratch // aggregate-group lookups (Node.recomputeAggs)
 
 	col     *obs.Collector // never nil: private one when Options.Obs unset
 	tracer  *obs.Tracer    // nil when tracing disabled
@@ -594,6 +595,7 @@ func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)
 	e := old[n-1]
+	old[n-1] = nil // the backing array must not keep handled events alive
 	*q = old[:n-1]
 	return e
 }

@@ -205,10 +205,12 @@ func (n *Node) fire(pred string, tup value.Tuple) ([]derivation, error) {
 // recomputeAggs re-evaluates every aggregate reader of pred for the
 // groups a change to tup can affect (RulePlans.AggGroups), recomputing
 // every group when they cannot be determined from the tuple alone, and
-// appends the results to out.
+// appends the results to out. The keys live in the network's lookup
+// scratch, which evalAggregate does not touch: it never recomputes
+// aggregates itself.
 func (n *Node) recomputeAggs(out []derivation, pred string, tup value.Tuple) ([]derivation, error) {
 	for _, r := range n.net.an.Readers.Agg[pred] {
-		keys, all := n.net.an.Plans[r].AggGroups(pred, tup, nil)
+		keys, all := n.net.an.Plans[r].AggGroups(&n.net.aggs, pred, tup, nil)
 		if all {
 			keys = []value.Tuple{nil} // a nil seed recomputes every group
 		}

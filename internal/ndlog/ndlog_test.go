@@ -479,6 +479,7 @@ r2 c(@N,Z,min<C>) :- x(@N,Z), y(@N,Y,C).
 r3 d(@N,min<C>) :- y(@N,1+1,C).
 r4 e(@N,min<C>) :- y(@N,A,C), y(@N,C,A).
 r5 f(@N,min<C>) :- x(@N,C), y(@N,C,A).
+r6 g(@N,min<C>) :- y(@N,A,B), x(@N,C).
 `))
 	if err != nil {
 		t.Fatal(err)
@@ -493,7 +494,7 @@ r5 f(@N,min<C>) :- x(@N,C), y(@N,C,A).
 		name string
 		rule string
 		tup  value.Tuple
-		keep func(value.Tuple, map[string]value.V) bool
+		keep func(key value.Tuple, contrib value.V, ok bool) bool
 		keys string // Key() of each group, space-separated
 		all  bool
 	}{
@@ -502,10 +503,14 @@ r5 f(@N,min<C>) :- x(@N,C), y(@N,C,A).
 		{"evaluable computed argument mismatch", "r3", y(3, 5), nil, "", false},
 		{"evaluable computed argument match", "r3", y(2, 5), nil, "a2:n0", false},
 		{"groups deduplicated", "r4", y(1, 1), nil, "a2:n0", false},
-		{"keep vetoes a match", "r5", y(1, 2), func(key value.Tuple, env map[string]value.V) bool { return env["A"].I != 2 }, "", false},
+		{"keep vetoes a contribution", "r5", y(1, 2), func(key value.Tuple, contrib value.V, ok bool) bool { return !ok || contrib.I != 1 }, "", false},
+		{"keep sees an unbound contribution", "r6", y(2, 5), func(key value.Tuple, contrib value.V, ok bool) bool { return ok }, "", false},
+		{"unbound contribution still names its group", "r6", y(2, 5), nil, "a2:n0", false},
+		{"keep sees the contribution", "r1", y(2, 5), func(key value.Tuple, contrib value.V, ok bool) bool { return ok && contrib.I == 5 }, "a2:n0", false},
 	}
+	var s AggScratch
 	for _, tc := range cases {
-		keys, all := plans(tc.rule).AggGroups("y", tc.tup, tc.keep)
+		keys, all := plans(tc.rule).AggGroups(&s, "y", tc.tup, tc.keep)
 		var got []string
 		for _, k := range keys {
 			got = append(got, k.Key())

@@ -220,6 +220,27 @@ type RulePlans struct {
 	// HeadSeedCols[i] is the head-tuple column that feeds
 	// HeadSeeded.SeedVars[i].
 	HeadSeedCols []int
+
+	// The body atoms of an aggregate rule compiled for AggGroups, over
+	// one frame of aggSlots slots and call sites of aggCalls arities.
+	aggAtoms []aggAtom
+	aggSlots int
+	aggCalls []int
+}
+
+// aggAtom is one body atom of an aggregate rule, compiled to match a
+// changed tuple alone (see AggGroups).
+type aggAtom struct {
+	pred  string
+	arity int
+	// ops checks and binds the columns in column order, as a Delta
+	// step's Ops do; a wildcard column has no op.
+	ops []ColOp
+	// named: a match names its group, whose key is the frame at keySlots
+	// (the Seeded plan's SeedVars, in order).
+	named    bool
+	keySlots []int
+	contrib  int // slot of the aggregated variable, -1 when the atom does not bind it
 }
 
 // planner holds the state of compiling one plan variant.
@@ -265,6 +286,7 @@ func (a *Analysis) buildPlans() error {
 				}
 				rp.Seeded = s
 			}
+			rp.compileAggAtoms(r)
 		} else if !r.Delete {
 			seeds, cols := headSeedVars(r)
 			hs, err := planRule(r, -1, seeds)
@@ -352,42 +374,132 @@ func aggGroupVars(r *Rule) ([]string, bool) {
 	return vars, true
 }
 
-// AggGroups answers which groups of an aggregate rule a change to
-// pred(tup) touches. Every body atom of pred, positive or negated, is
-// matched against tup alone (MatchAtom in wild mode: a computed argument
-// the atom's own bindings cannot evaluate is a wildcard, one they can
-// evaluate must agree). A match that binds all of the Seeded plan's
-// SeedVars names one group, keyed by those values in SeedVars order;
-// keep, when non-nil, may drop it (it sees the key and the match's
-// bindings). Keys come back deduplicated, in first-seen order. all
-// reports a match that cannot name its group — the rule has no Seeded
-// plan, or the atom leaves a seed variable unbound — so every group must
-// be recomputed.
-func (rp *RulePlans) AggGroups(pred string, tup value.Tuple, keep func(key value.Tuple, env map[string]value.V) bool) (keys []value.Tuple, all bool) {
-	for _, l := range rp.Full.Rule.Body {
-		if l.Atom == nil || l.Atom.Pred != pred {
+// compileAggAtoms compiles every body atom of aggregate rule r, positive
+// or negated, for AggGroups. An atom is matched against a changed tuple
+// alone, in column order: a variable binds its first column and must
+// agree at a repeated one, a literal must be equal, and a computed
+// argument must equal its value when the atom's earlier columns bind
+// every variable it reads. One it cannot evaluate there is a wildcard.
+// The atoms share one frame numbering.
+func (rp *RulePlans) compileAggAtoms(r *Rule) {
+	agg, _ := r.Head.HeadAgg()
+	p := &planner{r: r, plan: &Plan{Rule: r, SlotOf: map[string]int{}}}
+	for _, l := range r.Body {
+		if l.Atom == nil {
 			continue
 		}
-		env := map[string]value.V{}
-		if _, ok := MatchAtom(l.Atom, tup, env, true); !ok {
-			continue
-		}
-		if rp.Seeded == nil {
-			return nil, true
-		}
-		key := make(value.Tuple, len(rp.Seeded.SeedVars))
-		for i, v := range rp.Seeded.SeedVars {
-			val, ok := env[v]
-			if !ok {
-				return nil, true
+		p.bound = map[string]bool{}
+		a := aggAtom{pred: l.Atom.Pred, arity: len(l.Atom.Args), named: rp.Seeded != nil, contrib: -1}
+		for col, arg := range l.Atom.Args {
+			if v, isVar := arg.(VarE); isVar && !p.bound[v.Name] {
+				p.bound[v.Name] = true
+				a.ops = append(a.ops, ColOp{Col: col, Slot: p.slot(v.Name)})
+				continue
 			}
-			key[i] = val
+			if !allBound(exprVars(arg), p.bound) {
+				continue
+			}
+			if ce, err := p.compileExpr(arg); err == nil {
+				a.ops = append(a.ops, ColOp{Col: col, Slot: -1, Expr: ce})
+			}
 		}
-		if (keep == nil || keep(key, env)) && !slices.ContainsFunc(keys, key.Equal) {
-			keys = append(keys, key)
+		if a.named {
+			for _, v := range rp.Seeded.SeedVars {
+				if !p.bound[v] {
+					a.named, a.keySlots = false, nil
+					break
+				}
+				a.keySlots = append(a.keySlots, p.plan.SlotOf[v])
+			}
+		}
+		if agg.Arg != "" && p.bound[agg.Arg] {
+			a.contrib = p.plan.SlotOf[agg.Arg]
+		}
+		rp.aggAtoms = append(rp.aggAtoms, a)
+	}
+	rp.aggSlots, rp.aggCalls = p.plan.NumSlots, p.plan.CallArities
+}
+
+// match reports whether tup matches the atom, binding its variables
+// into env's frame. A computed argument whose evaluation fails is a
+// wildcard, like one the atom cannot evaluate.
+func (a *aggAtom) match(env *EvalEnv, tup value.Tuple) bool {
+	if len(tup) != a.arity {
+		return false
+	}
+	for _, op := range a.ops {
+		if op.Slot >= 0 {
+			env.Frame[op.Slot] = tup[op.Col]
+			continue
+		}
+		if v, err := op.Expr.Eval(env); err == nil && !v.Equal(tup[op.Col]) {
+			return false
 		}
 	}
-	return keys, false
+	return true
+}
+
+// AggScratch is the caller-owned state of AggGroups: the match frame and
+// the storage of the keys it returns, reused so that a warm lookup
+// allocates nothing. Like an EvalEnv it belongs to one goroutine.
+type AggScratch struct {
+	env  EvalEnv
+	vals []value.V
+	keys []value.Tuple
+}
+
+// reset sizes the frame and call buffers for rp's compiled atoms and
+// empties the key storage. Only a function call in an atom's argument
+// costs an allocation.
+func (s *AggScratch) reset(rp *RulePlans) {
+	if cap(s.env.Frame) < rp.aggSlots {
+		s.env.Frame = make([]value.V, rp.aggSlots)
+	}
+	s.env.Frame = s.env.Frame[:rp.aggSlots]
+	s.env.CallBufs = s.env.CallBufs[:0]
+	for _, n := range rp.aggCalls {
+		s.env.CallBufs = append(s.env.CallBufs, make([]value.V, n))
+	}
+	s.vals, s.keys = s.vals[:0], s.keys[:0]
+}
+
+// AggGroups answers which groups of an aggregate rule a change to
+// pred(tup) touches. Every body atom of pred, positive or negated, is
+// matched against tup alone through the column ops compileAggAtoms
+// built. A match that binds all of the Seeded plan's SeedVars names one
+// group, keyed by those values in SeedVars order; keep, when non-nil,
+// may drop it (it sees the key and, when the atom binds the aggregated
+// variable, ok and the contributed value). Keys come back deduplicated,
+// in first-seen order, stored in s: they are valid until s is next
+// used. all reports a match that cannot name its group — the rule has
+// no Seeded plan, or the atom leaves a seed variable unbound — so every
+// group must be recomputed.
+func (rp *RulePlans) AggGroups(s *AggScratch, pred string, tup value.Tuple, keep func(key value.Tuple, contrib value.V, ok bool) bool) (keys []value.Tuple, all bool) {
+	s.reset(rp)
+	for i := range rp.aggAtoms {
+		a := &rp.aggAtoms[i]
+		if a.pred != pred || !a.match(&s.env, tup) {
+			continue
+		}
+		if !a.named {
+			return nil, true
+		}
+		start := len(s.vals)
+		for _, slot := range a.keySlots {
+			s.vals = append(s.vals, s.env.Frame[slot])
+		}
+		key := value.Tuple(s.vals[start:len(s.vals):len(s.vals)])
+		var contrib value.V
+		if a.contrib >= 0 {
+			contrib = s.env.Frame[a.contrib]
+		}
+		if (keep == nil || keep(key, contrib, a.contrib >= 0)) && !slices.ContainsFunc(s.keys, key.Equal) {
+			s.keys = append(s.keys, key)
+		} else {
+			s.vals = s.vals[:start]
+		}
+	}
+	return s.keys, false
 }
 
 // planRule compiles one plan variant. deltaIdx < 0 compiles the full
@@ -419,15 +531,19 @@ func planRule(r *Rule, deltaIdx int, seedVars []string) (*Plan, error) {
 	taken := make([]bool, len(body))
 	remaining := len(body)
 	for remaining > 0 {
+		// Cheap literals before any table scan, and filters before
+		// assignments: every ready condition and negation probe first, so
+		// a frame they reject never pays for computing a value (r2's
+		// f_inPath check runs before f_concatPath builds a path list).
+		// The negated delta literal of a NegDelta plan is an input, not a
+		// filter.
 		progressed := false
-		// Cheap literals first: assignments, conditions, and negation
-		// probes prune before any table scan.
 		for i, l := range body {
 			if taken[i] {
 				continue
 			}
 			if l.Atom == nil {
-				if p.tryExpr(l, i) {
+				if !p.isAssign(l) && p.tryExpr(l, i) {
 					taken[i] = true
 					remaining--
 					progressed = true
@@ -439,6 +555,18 @@ func planRule(r *Rule, deltaIdx int, seedVars []string) (*Plan, error) {
 				taken[i] = true
 				remaining--
 				progressed = true
+			}
+		}
+		if progressed {
+			continue
+		}
+		// Then one ready assignment; the filters it readies go next.
+		for i, l := range body {
+			if !taken[i] && l.Atom == nil && p.tryExpr(l, i) {
+				taken[i] = true
+				remaining--
+				progressed = true
+				break
 			}
 		}
 		if progressed {
@@ -589,6 +717,17 @@ func (p *planner) negStep(atom *Atom, bodyIdx int) error {
 	p.plan.Steps = append(p.plan.Steps, st)
 	p.plan.Order = append(p.plan.Order, bodyIdx)
 	return nil
+}
+
+// isAssign reports whether expression literal l would compile to an
+// assignment under the current bindings: V=expr with V still unbound.
+func (p *planner) isAssign(l Literal) bool {
+	be, ok := l.Expr.(BinE)
+	if !ok || be.Op != "=" {
+		return false
+	}
+	lv, ok := be.L.(VarE)
+	return ok && !p.bound[lv.Name]
 }
 
 // tryExpr compiles an expression literal if it is ready: an assignment

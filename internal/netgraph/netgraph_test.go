@@ -1,6 +1,8 @@
 package netgraph
 
 import (
+	"maps"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -106,6 +108,97 @@ func TestShortestCostsRespectWeights(t *testing.T) {
 	}
 	if d["b"]["c"] != 10 {
 		t.Errorf("b->c = %d, want 10 (direct beats 11 via a)", d["b"]["c"])
+	}
+}
+
+// bellmanFord is an independent single-source oracle: relax every link
+// until nothing changes.
+func bellmanFord(t *Topology, src string) map[string]int64 {
+	d := map[string]int64{src: 0}
+	for changed := true; changed; {
+		changed = false
+		for _, l := range t.Links {
+			du, ok := d[l.Src]
+			if !ok {
+				continue
+			}
+			if dv, ok := d[l.Dst]; !ok || du+l.Cost < dv {
+				d[l.Dst] = du + l.Cost
+				changed = true
+			}
+		}
+	}
+	return d
+}
+
+// TestShortestFromAcrossTopologies runs ShortestFrom over topologies of
+// different sizes, and over one topology before and after a link
+// removal, in one sequence: the working storage the calls share must
+// carry nothing from one call into the next.
+func TestShortestFromAcrossTopologies(t *testing.T) {
+	big := RandomConnected(60, 0.1, 9, 3)
+	cut := RandomConnected(60, 0.1, 9, 3)
+	cut.RemoveLink(cut.Links[0].Src, cut.Links[0].Dst)
+	stray := Line(3)
+	stray.Links = append(stray.Links, Link{Src: "n2", Dst: "elsewhere", Cost: 1})
+	for i, topo := range []*Topology{big, Ring(5), cut, stray, big} {
+		got := topo.ShortestFrom(topo.Nodes[0])
+		want := bellmanFord(topo, topo.Nodes[0])
+		delete(want, "elsewhere") // not a node of the topology
+		if len(got) != len(want) {
+			t.Fatalf("call %d: %d nodes reached, want %d", i, len(got), len(want))
+		}
+		for n, w := range want {
+			if got[n] != w {
+				t.Errorf("call %d: cost to %s = %d, want %d", i, n, got[n], w)
+			}
+		}
+	}
+	if got := Ring(4).ShortestFrom("nowhere"); got != nil {
+		t.Errorf("unknown source: got %v, want nil", got)
+	}
+}
+
+// TestShortestFromConcurrent calls ShortestFrom and ShortestCosts from
+// several goroutines at once: each call must own its working storage.
+func TestShortestFromConcurrent(t *testing.T) {
+	topos := []*Topology{RandomConnected(40, 0.1, 9, 1), Ring(7), Grid(4, 5), PreferentialAttachment(80, 2, 5)}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		topo := topos[g%len(topos)]
+		want := bellmanFord(topo, topo.Nodes[0])
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				got := topo.ShortestFrom(topo.Nodes[0])
+				if !maps.Equal(got, want) {
+					t.Errorf("%s: ShortestFrom differs from Bellman-Ford", topo.Name)
+					return
+				}
+				if row := topo.ShortestCosts()[topo.Nodes[0]]; len(row) != len(want)-1 {
+					t.Errorf("%s: ShortestCosts reaches %d nodes, want %d", topo.Name, len(row), len(want)-1)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestShortestFromAllocations bounds the allocations of one ShortestFrom
+// call once its working storage is warm: the result map and nothing
+// that grows with the graph. Rebuilding the index per call cost one
+// allocation per node.
+func TestShortestFromAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops objects at random under the race detector")
+	}
+	topo := PreferentialAttachment(500, 2, 7)
+	topo.ShortestFrom("n0")
+	allocs := testing.AllocsPerRun(50, func() { topo.ShortestFrom("n0") })
+	if allocs > 10 {
+		t.Errorf("ShortestFrom made %.0f allocations per call on 500 nodes, want <= 10", allocs)
 	}
 }
 

@@ -30,8 +30,10 @@ const (
 // whole tuple when empty): inserting a second tuple with an existing key
 // replaces the first, which is how route updates supersede old routes.
 // Scans run in insertion order, deletes are O(1) via a key→position map
-// with tombstones compacted lazily, and hash indexes are built on demand
-// and maintained incrementally.
+// with tombstones compacted once they outnumber the live tuples (so an
+// unpinned table's storage stays within twice its live count whether or
+// not anything scans it), and hash indexes are built on demand and
+// maintained incrementally.
 type Table struct {
 	Name     string
 	Arity    int
@@ -167,9 +169,12 @@ func (t *Table) removeAt(key string, pos int) {
 	}
 	t.order[pos] = nil
 	t.holes++
-	cow := t.pins.Load() != 0
+	pinned := t.pins.Load() != 0
 	for _, ix := range t.indexes {
-		ix.remove(old, cow)
+		ix.remove(old, pinned)
+	}
+	if t.holes > t.Len() && !pinned {
+		t.compact()
 	}
 }
 
@@ -209,8 +214,9 @@ func (t *Table) Pin() { t.pins.Add(1) }
 func (t *Table) Unpin() { t.pins.Add(-1) }
 
 // All returns the live tuples in insertion order. The slice aliases the
-// table's storage: callers must not mutate it, and deletions invalidate
-// it at the next unpinned All call. Inserting while iterating is safe
+// table's storage: callers must not mutate it, and an unpinned deletion
+// may compact the storage and invalidate it, so a caller that deletes
+// while iterating must Pin first. Inserting while iterating is safe
 // (appends land past the returned window). While the table is pinned the
 // window may contain nil tombstones, which scanners must skip.
 func (t *Table) All() []value.Tuple {
@@ -235,21 +241,27 @@ func (t *Table) Snapshot() []value.Tuple {
 	return out
 }
 
+// compact drops the tombstones from the insertion order, keeping the
+// live tuples' relative order, and remaps byKey through a transient
+// old-to-new position table instead of re-encoding every key.
 func (t *Table) compact() {
 	if t.holes == 0 || t.pins.Load() != 0 {
 		return
 	}
+	moved := make([]int, len(t.order))
 	live := t.order[:0]
-	for _, tup := range t.order {
-		if tup == nil {
-			continue
+	for i, tup := range t.order {
+		if tup != nil {
+			moved[i] = len(live)
+			live = append(live, tup)
 		}
-		t.keyBuf = t.appendKeyOf(t.keyBuf[:0], tup)
-		t.byKey[string(t.keyBuf)] = len(live)
-		live = append(live, tup)
 	}
+	clear(t.order[len(live):])
 	t.order = live
 	t.holes = 0
+	for k, pos := range t.byKey {
+		t.byKey[k] = moved[pos]
+	}
 }
 
 // Sorted returns the tuples in lexicographic order (for deterministic
@@ -385,14 +397,15 @@ func (ix *Index) add(tup value.Tuple) {
 	ix.buckets[string(ix.keyBuf)] = append(ix.buckets[string(ix.keyBuf)], tup)
 }
 
-// remove drops tup from its bucket. cow forces a copy-on-write update:
-// while the owning table is pinned, an outstanding scan may hold the
-// bucket slice, so surviving tuples must not be shifted under it.
+// remove drops tup, the tuple slice the table stores, from its bucket.
+// cow forces a copy-on-write update: while the owning table is pinned, an
+// outstanding scan may hold the bucket slice, so surviving tuples must
+// not be shifted under it.
 func (ix *Index) remove(tup value.Tuple, cow bool) {
 	ix.setKey(tup)
 	b := ix.buckets[string(ix.keyBuf)]
 	for i, u := range b {
-		if u.Equal(tup) {
+		if sameTuple(u, tup) {
 			if cow {
 				nb := make([]value.Tuple, 0, len(b)-1)
 				nb = append(nb, b[:i]...)
@@ -406,4 +419,15 @@ func (ix *Index) remove(tup value.Tuple, cow bool) {
 			return
 		}
 	}
+}
+
+// sameTuple reports whether u is the stored tuple t itself: the index
+// holds the very slices the table stores, so identity finds a removed
+// tuple without comparing the bucket's contents. Arity-0 tuples have no
+// element to compare addresses of; they are all equal.
+func sameTuple(u, t value.Tuple) bool {
+	if len(t) == 0 {
+		return len(u) == 0
+	}
+	return len(u) == len(t) && &u[0] == &t[0]
 }

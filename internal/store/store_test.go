@@ -87,7 +87,7 @@ func TestDeleteTombstonesAndCompaction(t *testing.T) {
 		}
 	}
 	// Delete every other tuple: O(1) per delete, tombstones accumulate
-	// until the next scan compacts them.
+	// (never more than the live tuples) until the next scan compacts them.
 	for i := int64(0); i < 100; i += 2 {
 		if !tb.Delete(tup(i)) {
 			t.Fatalf("delete %d failed", i)
@@ -118,6 +118,70 @@ func TestDeleteTombstonesAndCompaction(t *testing.T) {
 	}
 	if !tb.Contains(tup(0)) || tb.Len() != 51 {
 		t.Fatal("reinsert after delete failed")
+	}
+}
+
+// TestDeleteCompactsWithoutScan pins the tombstone bound: deletes alone,
+// with no All or Snapshot call, keep the insertion-order storage within
+// twice the live count, and a pinned table defers the compaction.
+func TestDeleteCompactsWithoutScan(t *testing.T) {
+	const n = 1000
+	tb := New("c", 2, []int{0}, 0)
+	for i := int64(0); i < n; i++ {
+		tb.Put(tup(i, i%7), 0)
+	}
+	ix := tb.IndexOn([]int{1})
+	// Deletes run in a scrambled order, so an index bucket loses members
+	// from its middle, and each passes a fresh copy: the index must still
+	// drop exactly the stored tuple.
+	for k := int64(0); k < n-1; k++ {
+		i := k * 37 % n
+		if !tb.Delete(tup(i, i%7)) {
+			t.Fatalf("delete %d failed", i)
+		}
+		if slots := len(tb.order); slots > 2*tb.Len()+1 {
+			t.Fatalf("after %d deletes: %d slots for %d live tuples", k+1, slots, tb.Len())
+		}
+	}
+	lastI := int64((n - 1) * 37 % n)
+	last := tup(lastI, lastI%7)
+	if tb.Len() != 1 || !tb.Contains(last) {
+		t.Fatalf("Len = %d, Contains(last) = %v", tb.Len(), tb.Contains(last))
+	}
+	if got, ok := tb.Get(tb.KeyOf(last)); !ok || !got.Equal(last) {
+		t.Fatalf("Get(last) = %v, %v", got, ok)
+	}
+	for v := int64(0); v < 7; v++ {
+		b := ix.Bucket([]byte(value.Int(v).Key()))
+		if v == lastI%7 && (len(b) != 1 || !b[0].Equal(last)) || v != lastI%7 && len(b) != 0 {
+			t.Fatalf("index bucket %d = %v, want only %v", v, b, last)
+		}
+	}
+	// Positions survive the remap: insertion order and keyed access.
+	for i := int64(0); i < 4; i++ {
+		tb.Put(tup(i, 0), 0)
+	}
+	all := tb.All()
+	if len(all) != 5 || !all[0].Equal(last) || !all[4].Equal(tup(3, 0)) {
+		t.Fatalf("All = %v", all)
+	}
+	if old, ok := tb.DeleteByKey(tb.KeyOf(tup(2, 0))); !ok || !old.Equal(tup(2, 0)) {
+		t.Fatalf("DeleteByKey = %v, %v", old, ok)
+	}
+
+	// Pinned: deletes and scans leave tombstones in place, however many.
+	tb.Pin()
+	slots := len(tb.order)
+	for i := int64(0); i < 4; i++ {
+		tb.Delete(tup(i, 0))
+	}
+	if len(tb.All()) != slots || tb.Len() != 1 {
+		t.Fatalf("pinned: %d slots (want %d), Len %d", len(tb.order), slots, tb.Len())
+	}
+	tb.Unpin()
+	tb.Delete(last)
+	if len(tb.order) != 0 || tb.Len() != 0 {
+		t.Fatalf("after unpinned delete: %d slots, Len %d", len(tb.order), tb.Len())
 	}
 }
 

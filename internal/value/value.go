@@ -10,7 +10,7 @@ package value
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -335,7 +335,9 @@ func (t Tuple) String() string {
 	return "(" + strings.Join(parts, ",") + ")"
 }
 
-// SortTuples sorts a slice of tuples lexicographically, for deterministic output.
+// SortTuples sorts a slice of tuples lexicographically, for deterministic
+// output. It allocates nothing, so callers on a hot path (dist's per-node
+// Query) can sort freely.
 func SortTuples(ts []Tuple) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
+	slices.SortFunc(ts, Tuple.Compare)
 }
